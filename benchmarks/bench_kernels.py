@@ -3,15 +3,16 @@
 Two claims are enforced here, matching the kernel layer's contract
 (``src/repro/kernels``):
 
-* **micro gates** — every kernel a backend lists in its
-  ``ACCELERATED`` set must beat the ``pure`` reference by >= 3x on its
-  microloop over this run's workload columns.  Backends deliberately
-  claim only what measures true at the paper's workload shape: numpy
-  claims the whole-array kernels (window accounting over large ranges,
-  static-cut recounts, CSR cut scans) and *not* the per-metric-window
-  stream kernels, where ~100-row windows make the per-call overhead
-  dominate; the stdlib ``array`` backend claims none and exists as the
-  no-dependency second implementation.
+* **micro gates** — the numpy backend has its own form of a kernel
+  only when it lists the kernel in its ``ACCELERATED`` set, and each
+  such form must beat the ``pure`` reference by >= 3x on its microloop
+  over this run's workload columns: whole-array recounts
+  (``static_cut_count``, ``cut_value``, ``max_weighted_degree``,
+  ``max_index``) and whole-boundary / whole-graph refinement batches
+  (``conn_matrix``, ``kl_proposals``).  Every other kernel name is the
+  pure object itself and is listed as ``= pure``: the per-metric-window
+  kernels run on windows of a few dozen rows, where numpy's per-call
+  overhead loses to the plain loop.
 
 * **paper-scale sweep** — the five-method fig5 grid
   (``PAPER_ORDER`` x k in {2, 4, 8}, warm METIS family) replayed from
@@ -38,7 +39,7 @@ from repro.experiments.run import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
-from repro.kernels import StreamState
+from repro.kernels import StreamState, pure
 from repro.metis.graph import CSRGraph
 
 GATE = 3.0
@@ -64,7 +65,7 @@ def _best_of(fn, reps: int = 5) -> float:
 
 
 def _micro_loops(clog: ColumnarLog):
-    """Name -> zero-arg microloop, per backend resolution at call time.
+    """Kernel name -> zero-arg microloop, resolved per backend at call time.
 
     Each loop is the kernel's natural batch unit at this scale: the
     whole column range (what cold starts, recounts and snapshots pay)
@@ -106,7 +107,7 @@ def _micro_loops(clog: ColumnarLog):
         "static_cut_count": lambda: kr().static_cut_count(
             state.esrc, state.edst, shard),
         "max_index": lambda: kr().max_index(src, dst, 0, n),
-        "csr_accumulate": acc_loop,
+        "CSRAccumulator": acc_loop,
         "csr_from_window": lambda: kr().csr_from_window(src, dst, 0, n, "unit"),
         "graph_batch": lambda: kr().graph_batch(ts, src, dst, sk, dk, 0, n),
         "part_weights": lambda: kr().part_weights(graph, part, k),
@@ -134,9 +135,13 @@ def test_kernel_micro_gates(runner, bench_scale, out_dir):
     rows = []
     failures = []
     for backend in backends:
-        with kernels.using_backend(backend):
-            claimed = getattr(kernels.active(), "ACCELERATED", frozenset())
+        with kernels.using_backend(backend) as module:
+            claimed = getattr(module, "ACCELERATED", frozenset())
             for name, fn in loops.items():
+                if getattr(module, name) is getattr(pure, name):
+                    rows.append((name, backend, f"{pure_times[name] * 1e3:.2f}",
+                                 "= pure", "", ""))
+                    continue
                 t = _best_of(fn)
                 speedup = pure_times[name] / t if t > 0 else float("inf")
                 gated = name in claimed
@@ -236,12 +241,12 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
             ],
         ),
         "",
-        "note: KL repartitioning and METIS refinement now ride the batched",
-        "refinement kernels (conn_matrix / gain_vector / kl_proposals), so",
-        "backend choice moves the whole-grid total ~15-20% (it used to be",
-        "~10%: the refiners were backend-independent python loops); the",
-        ">=3x kernel speedups are enforced per-microloop — see",
-        "kernels_micro.txt.  absolute seconds are machine-state dependent:",
-        "compare backends within one run, not across recorded artifacts.",
+        "note: numpy replaces only its ACCELERATED kernels (whole-array",
+        "recounts, conn_matrix / kl_proposals refinement batches) and runs",
+        "the pure object for every other kernel, so the backends differ by",
+        "those kernels alone; the >=3x kernel speedups are enforced",
+        "per-microloop — see kernels_micro.txt.  absolute seconds are",
+        "machine-state dependent: compare backends within one run, not",
+        "across recorded artifacts.",
     ]
     write_artifact(out_dir, "paper_scale_sweep.txt", "\n".join(lines))

@@ -3,8 +3,8 @@ environments without the `wheel` package.
 
 The package itself is dependency-free.  The ``[numpy]`` extra opts in
 to the vectorised kernel backend (see ``src/repro/kernels``): when
-numpy is importable it becomes the default backend, and without it the
-stdlib backends give bit-identical results.
+numpy is importable it is the backend, and without it the pure
+backend gives bit-identical results.
 """
 
 from setuptools import setup

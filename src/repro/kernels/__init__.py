@@ -4,9 +4,10 @@ The kernels operate directly on the dense columns
 :class:`repro.graph.columnar.ColumnarLog` exposes (timestamps, interned
 src/dst indices, transaction ids, kind codes) and return plain
 python/array values the engine folds back into its data structures.
-Every kernel is implemented by three interchangeable backends — see
-:mod:`repro.kernels.backend` for selection — and all backends are
-bit-identical to the ``pure`` reference, including every ordering the
+Every kernel has a ``pure`` reference form; where numpy imports, the
+``numpy`` backend replaces the kernels it measurably accelerates and
+reuses the rest (see :mod:`repro.kernels.backend`).  Both backends are
+bit-identical to the reference, including every ordering the
 downstream graphs observe (``docs/kernels.md`` spells out the
 contract).
 
@@ -21,11 +22,9 @@ This package deliberately imports nothing from the rest of ``repro``
 """
 
 from repro.kernels.backend import (
-    ENV_VAR,
     active,
     available_backends,
     backend_name,
-    set_backend,
     using_backend,
 )
 from repro.kernels.types import (
@@ -37,7 +36,6 @@ from repro.kernels.types import (
 )
 
 __all__ = [
-    "ENV_VAR",
     "GainBuckets",
     "PACK_MASK",
     "PACK_SHIFT",
@@ -46,6 +44,5 @@ __all__ = [
     "active",
     "available_backends",
     "backend_name",
-    "set_backend",
     "using_backend",
 ]

@@ -1,35 +1,28 @@
 """Kernel backend selection.
 
-Three interchangeable backends implement the same kernel surface:
+Two backends implement the same kernel surface:
 
 ``pure``
     Per-row transliterations of the legacy loops; the bit-identity
-    oracle every other backend is tested against.
-``array``
-    Stdlib batch formulation (slices, ``Counter``, counting sort).
-    Always available; the default when numpy is absent.
+    oracle, and the backend wherever numpy does not import.
 ``numpy``
-    Vectorised formulation over zero-copy views of the columns.
-    Optional — install with ``pip install .[numpy]``.
+    Vectorised forms of the kernels in its ``ACCELERATED`` set; every
+    other kernel name is the ``pure`` object itself.  Optional —
+    install with ``pip install .[numpy]``.
 
-Selection: the ``REPRO_KERNEL_BACKEND`` environment variable
-(``pure`` | ``array`` | ``numpy``), else ``numpy`` when importable,
-else ``array``.  Resolution is lazy and cached; tests flip backends
-with :func:`set_backend` / :func:`using_backend`.
+The backend is a fact about the platform: ``numpy`` when numpy is
+importable, else ``pure``.  Resolution is lazy and cached; tests and
+benchmarks compare the two with :func:`using_backend`.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 from contextlib import contextmanager
 from typing import List, Optional
 
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
 _MODULES = {
     "pure": "repro.kernels.pure",
-    "array": "repro.kernels.arraykernels",
     "numpy": "repro.kernels.numpykernels",
 }
 
@@ -45,24 +38,11 @@ def _numpy_usable() -> bool:
     return True
 
 
-def _resolve_default() -> str:
-    return "numpy" if _numpy_usable() else "array"
-
-
 def backend_name() -> str:
     """Name of the active backend, resolving it on first use."""
     global _active_name
     if _active_name is None:
-        requested = os.environ.get(ENV_VAR, "").strip().lower()
-        if requested:
-            if requested not in _MODULES:
-                raise ValueError(
-                    f"{ENV_VAR}={requested!r}: expected one of "
-                    f"{sorted(_MODULES)}"
-                )
-            _active_name = requested
-        else:
-            _active_name = _resolve_default()
+        _active_name = "numpy" if _numpy_usable() else "pure"
     return _active_name
 
 
@@ -74,30 +54,25 @@ def active():
     return _active_module
 
 
-def set_backend(name: str) -> None:
-    """Force a backend by name (``pure`` | ``array`` | ``numpy``)."""
+@contextmanager
+def using_backend(name: str):
+    """Temporarily switch backends (tests, benchmarks).
+
+    The backend is imported before any state changes, so a switch that
+    fails leaves the active backend as it was.
+    """
     global _active_name, _active_module
     if name not in _MODULES:
         raise ValueError(f"unknown kernel backend {name!r}")
-    _active_name = name
-    _active_module = importlib.import_module(_MODULES[name])
-
-
-@contextmanager
-def using_backend(name: str):
-    """Temporarily switch backends (test helper)."""
-    global _active_name, _active_module
+    module = importlib.import_module(_MODULES[name])
     prev_name, prev_module = _active_name, _active_module
-    set_backend(name)
+    _active_name, _active_module = name, module
     try:
-        yield _active_module
+        yield module
     finally:
         _active_name, _active_module = prev_name, prev_module
 
 
 def available_backends() -> List[str]:
     """Backends importable in this environment, in preference order."""
-    names = ["pure", "array"]
-    if _numpy_usable():
-        names.append("numpy")
-    return names
+    return ["pure", "numpy"] if _numpy_usable() else ["pure"]

@@ -2,10 +2,11 @@
 
 Every function here is a straight per-row / per-edge transliteration of
 the loop it replaced, kept deliberately simple: no bulk counting, no
-slicing tricks.  The other backends must reproduce these outputs
-*exactly* (including dict key order, which the cumulative graph's
-adjacency insertion order and therefore cold METIS results depend on);
-``tests/kernels/test_parity.py`` holds them to it.
+slicing tricks.  ``__all__`` is the kernel surface every backend
+exposes by name.  The numpy backend's own forms must reproduce these
+outputs *exactly* (including dict key order, which the cumulative
+graph's adjacency insertion order and therefore cold METIS results
+depend on); ``tests/kernels/test_parity.py`` holds them to it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernels.types import PACK_MASK, PACK_SHIFT, StreamState, WindowBatch
+
+__all__ = [
+    "CSRAccumulator", "account_window", "boundary_list", "conn_matrix",
+    "csr_from_window", "cut_value", "gain_vector", "graph_batch",
+    "hem_matching", "kl_proposals", "max_index", "max_weighted_degree",
+    "part_weights", "static_cut_count", "unassigned_list", "window_pass",
+]
 
 #: kind-code of VertexKind.CONTRACT in the columnar byte columns
 #: (enum definition order: ACCOUNT=0, CONTRACT=1)

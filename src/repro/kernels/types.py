@@ -66,7 +66,7 @@ class GainBuckets:
     job to skip at pop time, exactly as with the heap it replaces.
 
     Backend-neutral by nature: the structure is inherently sequential
-    (every push/pop depends on the previous one), so all three kernel
+    (every push/pop depends on the previous one), so both kernel
     backends share this one implementation.
     """
 

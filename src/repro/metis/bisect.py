@@ -29,8 +29,8 @@ def multilevel_bisect(
     """Bisect ``graph`` into parts with the given weight targets.
 
     ``initial`` selects the coarsest-level algorithm: ``"greedy"``
-    (default) or ``"spectral"`` (falls back to greedy if the
-    eigensolver fails).  Returns the 0/1 part vector.
+    (default) or ``"spectral"`` (falls back to greedy if scipy is not
+    importable or the eigensolver fails).  Returns the 0/1 part vector.
     """
     n = graph.num_vertices
     if n == 0:

@@ -108,16 +108,18 @@ def _grow_once(graph: CSRGraph, target0: float, rng: random.Random) -> List[int]
 def spectral_bisection(graph: CSRGraph, target0: float) -> List[int]:
     """Fiedler-vector bisection (requires scipy; coarse graphs only).
 
-    Raises ``RuntimeError`` if the eigensolver fails to converge —
-    callers fall back to greedy growing.
+    Raises ``RuntimeError`` if scipy is not importable or the
+    eigensolver fails to converge — callers fall back to greedy
+    growing.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
-
     n = graph.num_vertices
     if n < 3:
         return [0] * n
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
+    except ImportError as exc:
+        raise RuntimeError(f"spectral bisection needs scipy: {exc}") from exc
 
     rows: List[int] = []
     cols: List[int] = []

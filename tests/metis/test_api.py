@@ -1,6 +1,7 @@
 """Tests for the part_graph entry point: quality, determinism, contracts."""
 
 import random
+import sys
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestQuality:
         g = gen.grid_graph(10, 10)
         res = part_graph(g, 2, seed=1, initial="spectral")
         assert res.edge_cut <= 2 * 10
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_spectral_without_scipy_is_greedy(self, monkeypatch, k):
+        # spectral bisection fails before it touches the RNG, so the
+        # greedy fallback reproduces the greedy assignment exactly
+        for name in ("scipy", "scipy.sparse", "scipy.sparse.linalg"):
+            monkeypatch.setitem(sys.modules, name, None)
+        g = gen.grid_graph(10, 10)
+        spectral = part_graph(g, k, seed=1, initial="spectral")
+        greedy = part_graph(g, k, seed=1, initial="greedy")
+        assert spectral.assignment == greedy.assignment
 
 
 class TestContracts:

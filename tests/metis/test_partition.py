@@ -29,6 +29,7 @@ class TestInitial:
         assert set(part) == {0, 1}
 
     def test_spectral_separates_communities(self):
+        pytest.importorskip("scipy", exc_type=ImportError)
         dg = gen.weighted_communities(2, 10, 10, 1, random.Random(2))
         g = csr_of(dg)
         part = spectral_bisection(g, g.total_vertex_weight / 2)
