@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.render import ascii_table
 from repro.analysis.runner import ExperimentRunner
 from repro.core.registry import PAPER_ORDER
+from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 
@@ -42,9 +43,13 @@ def compute_pitfall(
     """Throughput table for each method's final assignment at shard
     count ``k``, normalised to the single-shard baseline."""
     cfg = config or ShardedExecutionConfig()
-    log = runner.log   # synthetic or trace-backed; same replay surface
-    if len(log) > max_interactions:
-        log = log[-max_interactions:]
+    # synthetic runners hold a boxed log, trace-backed ones a
+    # ColumnarLog; intern once and execute the tail rows [lo, n)
+    log = runner.log
+    if not isinstance(log, ColumnarLog):
+        log = ColumnarLog(log)
+    n = len(log)
+    lo = max(0, n - max_interactions)
 
     # offered load: saturate the system so completed/elapsed = capacity
     rate = 3.0 * k / cfg.service_time
@@ -55,7 +60,8 @@ def compute_pitfall(
 
     # k = 1 baseline: everything is local
     single = ShardedExecution(1, _constant_assignment(runner, 0), cfg)
-    base = single.replay(log, arrival_rate=3.0 / cfg.service_time)
+    base = single.replay_columnar(
+        log, lo, n, arrival_rate=3.0 / cfg.service_time, strict=False)
 
     rows: List[PitfallRow] = [
         PitfallRow(
@@ -78,7 +84,7 @@ def compute_pitfall(
         else:
             assignment = dict(rs.get(method, k, seed).assignment)
         ex = ShardedExecution(k, assignment, cfg)
-        rep = ex.replay(log, arrival_rate=rate)
+        rep = ex.replay_columnar(log, lo, n, arrival_rate=rate, strict=False)
         rows.append(
             PitfallRow(
                 method=method,

@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.assignment import ShardAssignment
 from repro.core.placement import place_by_min_cut
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
 
@@ -52,11 +52,11 @@ class ReplayContext:
         window_dynamic_balance: dynamic balance of the window just
             processed (TR-METIS trigger input).
         rng: the method's own seeded RNG.
-        columnar_log: the shared :class:`ColumnarLog` when the replay
-            streams one (else None).  Methods that can consume dense
-            vertex indices (warm-started METIS) read the log columns
-            directly instead of rebuilding graphs from ``graph`` /
-            ``period_interactions``.
+        columnar_log: the :class:`ColumnarLog` the replay streams (the
+            engine interns every input into one).  Methods that consume
+            dense vertex indices (warm-started METIS, the KL bridge)
+            read its columns directly instead of rebuilding graphs from
+            ``graph`` / ``period_interactions``.
         log_hi: rows ``[0, log_hi)`` of ``columnar_log`` are exactly
             the interactions replayed so far (the cumulative graph).
         log_period_start: first row of the current repartition period;
@@ -74,30 +74,22 @@ class ReplayContext:
     window_dynamic_edge_cut: float
     window_dynamic_balance: float
     rng: random.Random
+    columnar_log: ColumnarLog
+    log_hi: int
+    log_period_start: int
     _period_graph_cache: Optional[WeightedDiGraph] = None
-    columnar_log: Optional[ColumnarLog] = None
-    log_hi: int = 0
-    log_period_start: int = 0
 
     @property
     def period_graph(self) -> WeightedDiGraph:
         """Reduced graph of interactions since the last repartitioning.
 
-        With a columnar log underneath, the graph is aggregated by the
-        batch kernels straight from the dense columns (identical output,
-        no per-row Interaction boxing); otherwise it falls back to the
-        boxed builder.
+        Aggregated by the batch kernels from rows
+        ``[log_period_start, log_hi)`` of ``columnar_log`` (no per-row
+        Interaction boxing).
         """
         if self._period_graph_cache is None:
-            if self.columnar_log is not None:
-                from repro.graph.builder import build_graph_columnar
-
-                self._period_graph_cache = build_graph_columnar(
-                    self.columnar_log, self.log_period_start, self.log_hi)
-            else:
-                from repro.graph.builder import build_graph
-
-                self._period_graph_cache = build_graph(self.period_interactions)
+            self._period_graph_cache = build_graph_columnar(
+                self.columnar_log, self.log_period_start, self.log_hi)
         return self._period_graph_cache
 
     @property

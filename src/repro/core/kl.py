@@ -56,32 +56,23 @@ class KLPartitioner(PartitionMethod):
         if ctx.elapsed_since_repartition < self.period:
             return None
 
-        # CSR bridge: local indices follow the collapsed undirected
-        # view's vertex order, and each adjacency keeps its
-        # first-encounter insertion order, so the batched kernel sees
-        # exactly the structures the per-vertex dict loop iterated —
-        # proposal order and tie-breaks are bit-identical.  With a
-        # columnar log underneath, one ``graph_batch`` kernel call +
-        # ``from_graph_batch`` skips the period ``WeightedDiGraph``
-        # entirely; the boxed fallback collapses ``ctx.period_graph``.
-        if ctx.columnar_log is not None:
-            lo, hi = ctx.log_period_start, ctx.log_hi
-            if hi <= lo:
-                return None
-            log = ctx.columnar_log
-            first_seen, _upgrades, edge_weights, vertex_weights = (
-                kernels.active().graph_batch(
-                    log.timestamps(), log.src_indices(), log.dst_indices(),
-                    log.src_kind_codes(), log.dst_kind_codes(), lo, hi))
-            csr = CSRGraph.from_graph_batch(
-                first_seen, edge_weights, vertex_weights, log.vertex_id)
-        else:
-            period_graph = ctx.period_graph
-            if period_graph.num_vertices == 0:
-                return None
-            csr = CSRGraph.from_digraph(period_graph)
-        if csr.num_vertices == 0:
+        # CSR bridge: one ``graph_batch`` kernel call over the period's
+        # rows + ``from_graph_batch``, with no period WeightedDiGraph.
+        # Its arrays equal ``CSRGraph.from_digraph(ctx.period_graph)``'s
+        # element for element (a parity property in
+        # tests/kernels/test_parity.py): vertices in first-appearance
+        # order, each adjacency in first-encounter order, so proposal
+        # order and tie-breaks match the per-vertex dict loop.
+        lo, hi = ctx.log_period_start, ctx.log_hi
+        if hi <= lo:
             return None
+        log = ctx.columnar_log
+        first_seen, _upgrades, edge_weights, vertex_weights = (
+            kernels.active().graph_batch(
+                log.timestamps(), log.src_indices(), log.dst_indices(),
+                log.src_kind_codes(), log.dst_kind_codes(), lo, hi))
+        csr = CSRGraph.from_graph_batch(
+            first_seen, edge_weights, vertex_weights, log.vertex_id)
         ids = csr.orig_ids or []
         local = {v: i for i, v in enumerate(ids)}
         # working copy of shard labels, local-indexed (-1 = unassigned:

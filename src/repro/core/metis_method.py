@@ -14,9 +14,9 @@ raw move counts are huge; we deliberately do **not** align shard labels
 between runs, to reproduce that behaviour honestly.
 
 Warm mode (``warm=True``, off by default) is this reproduction's
-incremental extension: when the replay streams a
-:class:`~repro.graph.columnar.ColumnarLog`, the cumulative graph is
-accumulated incrementally from the log's dense indices
+incremental extension: the cumulative graph is accumulated
+incrementally from the dense indices of the
+:class:`~repro.graph.columnar.ColumnarLog` every replay streams
 (:class:`~repro.metis.graph.ColumnarCSRBuilder`) and each repartition
 warm-starts from the previous run's assignment
 (``part_graph(warm_start=...)``), with a
@@ -51,10 +51,9 @@ class MetisPartitioner(PartitionMethod):
         warm_growth_threshold: float = 0.5,
     ):
         """Args:
-            warm: enable warm-started incremental repartitioning (needs
-                a ColumnarLog-backed replay; falls back to the cold path
-                otherwise).  Off by default — see the module docstring's
-                shard-relabeling caveat.
+            warm: enable warm-started incremental repartitioning, for
+                any replay input.  Off by default — see the module
+                docstring's shard-relabeling caveat.
             warm_growth_threshold: fall back to a cold multilevel run
                 when more than this fraction of vertices are new since
                 the previous repartitioning.
@@ -83,7 +82,7 @@ class MetisPartitioner(PartitionMethod):
     def maybe_repartition(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         if ctx.elapsed_since_repartition < self.period:
             return None
-        if self.warm and ctx.columnar_log is not None:
+        if self.warm:
             return self._repartition_warm(ctx)
         if ctx.graph.num_vertices < self.k:
             return None
@@ -99,7 +98,6 @@ class MetisPartitioner(PartitionMethod):
 
     def _repartition_warm(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         log = ctx.columnar_log
-        assert log is not None
         if (
             self._builder is None
             or self._builder.log is not log

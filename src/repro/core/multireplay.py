@@ -24,10 +24,12 @@ only one streaming loop in the codebase.  The shared cumulative graph
 is built once and the *same* object is referenced by every
 :class:`~repro.core.replay.ReplayResult`; treat it as read-only.
 
-The log may be a plain ``Sequence[Interaction]`` or a
-:class:`~repro.graph.columnar.ColumnarLog`; with the columnar form,
-window boundaries resolve by bisect and rows materialise lazily, one
-window at a time.
+The engine interns its input once: a plain ``Sequence[Interaction]``
+becomes a :class:`~repro.graph.columnar.ColumnarLog` in ``__init__``,
+and a ``ColumnarLog`` is used as is.  Every method therefore runs the
+same columnar code whatever the caller passed: window boundaries
+resolve by bisect, rows materialise lazily one window at a time, and
+warm METIS, the KL bridge and the period graph read the dense columns.
 
 This engine is the execution substrate of the declarative experiment
 API: :func:`repro.experiments.run.run_experiment` plans a (method × k
@@ -62,7 +64,7 @@ class _LogView(Sequence):
     Period buffers always cover a contiguous suffix of the streamed
     log (they reset only at window boundaries), so every method's
     ``period_interactions`` can share the one log instead of holding
-    its own boxed copy — with a :class:`ColumnarLog` underneath, rows
+    its own boxed copy — rows of the :class:`ColumnarLog` underneath
     materialise only when a method actually reads them.
     """
 
@@ -141,7 +143,9 @@ class MultiReplayEngine:
     ):
         """Args:
             interactions: the full, time-ordered interaction log — a
-                plain sequence or a :class:`ColumnarLog`.
+                plain sequence (interned here) or a
+                :class:`ColumnarLog` (used as is); :attr:`log` is the
+                one ``ColumnarLog`` the replay streams.
             methods: the partitioning methods under study.  Must be
                 distinct instances (each carries its own RNG and
                 repartitioning state); methods may use different ``k``.
@@ -153,32 +157,18 @@ class MultiReplayEngine:
             raise ValueError("metric_window must be positive")
         if len(set(map(id, methods))) != len(methods):
             raise ValueError("methods must be distinct instances")
-        if isinstance(interactions, ColumnarLog):
-            self.clog: Optional[ColumnarLog] = interactions
-            self.log: Sequence[Interaction] = interactions
-            self._kclog = interactions
-            n = len(interactions)
-            first = interactions.first_timestamp if n else 0.0
-            last = interactions.last_timestamp if n else 0.0
-        else:
-            self.clog = None
-            self.log = interactions
-            # the batch kernels consume dense columns, so a plain
-            # sequence is interned into a private ColumnarLog up front;
-            # ``clog`` stays None on purpose — methods gate columnar
-            # fast paths (warm METIS) on the *caller* providing one
-            self._kclog = ColumnarLog(interactions)
-            n = len(interactions)
-            first = interactions[0].timestamp if n else 0.0
-            last = interactions[-1].timestamp if n else 0.0
+        if not isinstance(interactions, ColumnarLog):
+            interactions = ColumnarLog(interactions)
+        self.log = interactions
+        n = len(interactions)
         self.methods = list(methods)
         self.metric_window = metric_window
-        self._first_ts = first
+        self._first_ts = interactions.first_timestamp if n else 0.0
         if end_ts is None:
             # one full second past the last interaction: a naive +epsilon
             # is absorbed by float rounding at multi-year timestamps and
             # silently drops the final window
-            end_ts = (last + 1.0) if n else 0.0
+            end_ts = (interactions.last_timestamp + 1.0) if n else 0.0
         self.end_ts = end_ts
 
     # ------------------------------------------------------------------
@@ -186,8 +176,6 @@ class MultiReplayEngine:
     def run(self) -> List[ReplayResult]:
         """One pass over the log; results in ``methods`` order."""
         log = self.log
-        clog = self.clog
-        kclog = self._kclog
         n_log = len(log)
         metric_window = self.metric_window
         end_ts = self.end_ts
@@ -196,13 +184,13 @@ class MultiReplayEngine:
         # stream state (max streamed vertex, distinct-edge set)
         kr = kernels.active()
         stream = StreamState()
-        ts_col = kclog.timestamps()
-        src_col = kclog.src_indices()
-        dst_col = kclog.dst_indices()
-        tx_col = kclog.tx_ids()
-        sk_col = kclog.src_kind_codes()
-        dk_col = kclog.dst_kind_codes()
-        vertex_id = kclog.vertex_id
+        ts_col = log.timestamps()
+        src_col = log.src_indices()
+        dst_col = log.dst_indices()
+        tx_col = log.tx_ids()
+        sk_col = log.src_kind_codes()
+        dk_col = log.dst_kind_codes()
+        vertex_id = log.vertex_id
 
         graph = WeightedDiGraph()
         add_vertex = graph.add_vertex
@@ -219,7 +207,7 @@ class MultiReplayEngine:
         while window_start < end_ts:
             window_end = window_start + metric_window
             lo = idx
-            idx = max(kclog.index_at(window_end), lo)
+            idx = max(log.index_at(window_end), lo)
 
             # shared pass: one kernel call bucketises the window
             # (first-seen vertices per transaction, edge/vertex weight
@@ -309,7 +297,7 @@ class MultiReplayEngine:
                     window_dynamic_edge_cut=dyn_cut,
                     window_dynamic_balance=dyn_balance,
                     rng=method.rng,
-                    columnar_log=clog,
+                    columnar_log=log,
                     log_hi=idx,
                     log_period_start=st.period_start,
                 )
@@ -321,7 +309,7 @@ class MultiReplayEngine:
                     # recount the static cut over the accumulated
                     # distinct-edge arrays (identical to walking the
                     # graph's edges: they are the same edge set)
-                    index_of = kclog._index()
+                    index_of = log._index()
                     n_streamed = len(shard_arr)
                     for raw in proposal:
                         dense = index_of.get(raw)

@@ -114,36 +114,24 @@ class ReplayEngine:
     ):
         """Args:
             interactions: the full, time-ordered interaction log (e.g.
-                ``workload_result.builder.log``).
+                ``workload_result.builder.log``) or a
+                :class:`~repro.graph.columnar.ColumnarLog`.
             method: the partitioning method under study.
             metric_window: sampling window width in seconds (paper: 4h).
             end_ts: replay horizon; defaults to just past the last
                 interaction.
         """
-        if metric_window <= 0:
-            raise ValueError("metric_window must be positive")
-        self.log = interactions
+        from repro.core.multireplay import MultiReplayEngine
+
         self.method = method
         self.k = method.k
-        self.metric_window = metric_window
-        if end_ts is None:
-            # one full second past the last interaction: a naive +epsilon
-            # is absorbed by float rounding at multi-year timestamps and
-            # silently drops the final window
-            end_ts = (interactions[-1].timestamp + 1.0) if interactions else 0.0
-        self.end_ts = end_ts
+        self._engine = MultiReplayEngine(
+            interactions, [method], metric_window=metric_window, end_ts=end_ts)
 
     # ------------------------------------------------------------------
 
     def run(self) -> ReplayResult:
-        from repro.core.multireplay import MultiReplayEngine
-
-        return MultiReplayEngine(
-            self.log,
-            [self.method],
-            metric_window=self.metric_window,
-            end_ts=self.end_ts,
-        ).run()[0]
+        return self._engine.run()[0]
 
 
 def replay_method(

@@ -5,11 +5,11 @@ assignment is fed through :class:`~repro.sharding.ShardedExecution`
 under the grid's :class:`~repro.experiments.spec.ExecutionSpec`, and
 the resulting throughput report is attached as ``cell.execution``.
 
-Columnar logs take the batched `replay_columnar` driver (no
-``Interaction`` boxing); plain interaction lists fall back to the boxed
-path — both produce bit-identical reports, so the choice is purely a
-matter of speed.  Replays are strict: a cell whose assignment misses a
-replayed endpoint raises
+Every cell executes through the batched
+:meth:`~repro.sharding.ShardedExecution.replay_columnar` path over the
+:class:`~repro.graph.columnar.ColumnarLog` its replay engine streamed
+(no ``Interaction`` boxing).  Replays are strict: a cell whose
+assignment misses a replayed endpoint raises
 :class:`~repro.errors.UnassignedVertexError` instead of silently
 dropping load (the assignment came from replaying this very log, so a
 miss is a bug, not a degenerate input).
@@ -26,36 +26,28 @@ from repro.sharding.throughput import ThroughputReport
 
 
 def execute_assignment(
-    log,
+    log: ColumnarLog,
     k: int,
     assignment: Mapping[int, int],
     execution: ExecutionSpec,
 ) -> ThroughputReport:
-    """Replay ``log`` through ``k`` shards under ``assignment``.
-
-    ``log`` is a :class:`ColumnarLog` (batched driver) or a sequence of
-    :class:`~repro.graph.builder.Interaction` (boxed driver);
-    ``execution.max_rows`` caps the replay to the log tail either way.
-    """
-    ex = ShardedExecution(
-        k, assignment, execution.to_config(), strict=True
-    )
-    kwargs = dict(
+    """Replay ``log`` through ``k`` shards under ``assignment``;
+    ``execution.max_rows`` caps the replay to the log tail."""
+    lo = 0
+    if execution.max_rows is not None:
+        lo = max(0, len(log) - execution.max_rows)
+    ex = ShardedExecution(k, assignment, execution.to_config())
+    return ex.replay_columnar(
+        log, lo, len(log),
         time_scale=execution.time_scale,
         arrival_rate=execution.arrival_rate,
+        strict=True,
     )
-    if isinstance(log, ColumnarLog):
-        lo = 0
-        if execution.max_rows is not None:
-            lo = max(0, len(log) - execution.max_rows)
-        return ex.replay_columnar(log, lo, len(log), **kwargs)
-    rows = log
-    if execution.max_rows is not None:
-        rows = rows[max(0, len(rows) - execution.max_rows):]
-    return ex.replay(rows, **kwargs)
 
 
-def attach_execution(log, cells: Iterable, execution: ExecutionSpec) -> None:
+def attach_execution(
+    log: ColumnarLog, cells: Iterable, execution: ExecutionSpec
+) -> None:
     """Attach a throughput report to each
     :class:`~repro.experiments.results.CellResult`, in place."""
     for cell in cells:

@@ -95,14 +95,15 @@ def replay_chunk(
     if isinstance(log, LogSource):
         log = log.load()
     methods = [key.method.make(key.k, seed=key.seed) for key in keys]
-    replays = MultiReplayEngine(log, methods, metric_window=window_seconds).run()
+    engine = MultiReplayEngine(log, methods, metric_window=window_seconds)
+    replays = engine.run()
     cells = [
         CellResult.from_replay(key, replay) for key, replay in zip(keys, replays)
     ]
     if execution is not None:
         from repro.experiments.execution import attach_execution
 
-        attach_execution(log, cells, execution)
+        attach_execution(engine.log, cells, execution)
     return cells
 
 

@@ -45,8 +45,8 @@ from repro.experiments.spec import CellKey, ExperimentSpec
 from repro.experiments.store import ResultStore
 
 #: ``log=`` accepts a preloaded log (ColumnarLog or interaction
-#: sequence) or a zero-arg callable producing one (lazy, like
-#: ``workload=``).
+#: sequence, which the replay engine interns into a ColumnarLog) or a
+#: zero-arg callable producing one (lazy, like ``workload=``).
 LogLike = Union[Sequence, Callable[[], Sequence], None]
 
 
@@ -157,7 +157,8 @@ def run_experiment(
 
             shared = handle.load() if isinstance(handle, LogSource) else handle
             methods = [key.method.make(key.k, seed=key.seed) for key in pending]
-            replays = MultiReplayEngine(shared, methods, metric_window=window).run()
+            engine = MultiReplayEngine(shared, methods, metric_window=window)
+            replays = engine.run()
             fresh = []
             for key, replay in zip(pending, replays):
                 live[key] = replay
@@ -165,7 +166,7 @@ def run_experiment(
             if spec.execution is not None:
                 from repro.experiments.execution import attach_execution
 
-                attach_execution(shared, fresh, spec.execution)
+                attach_execution(engine.log, fresh, spec.execution)
             for cell in fresh:
                 collect(cell)
         else:

@@ -265,6 +265,10 @@ class ShardedExecution:
     ) -> ThroughputReport:
         """Replay an interaction log grouped into transactions.
 
+        This closure-based engine is the reference implementation:
+        :meth:`replay_columnar`, which every experiment cell and
+        EXT-PITFALL run, is checked bit-identical against it.
+
         Arrival process: either compress the original timestamps by
         ``time_scale`` (seconds of sim time per second of history), or —
         the default — open-loop Poisson-like arrivals at
@@ -319,10 +323,11 @@ class ShardedExecution:
         report bit-identical to :meth:`replay` on the boxed equivalent
         of the same slice.
 
-        ``strict`` defaults to True: trace-backed replays must not
-        touch unpartitioned vertices (:class:`UnassignedVertexError`
-        names the offender).  Pass ``strict=False`` to count them in
-        ``unassigned_endpoints`` instead.
+        ``strict`` defaults to True: a replay of the log a partition
+        was computed from must not touch unpartitioned vertices
+        (:class:`UnassignedVertexError` names the offender).  Pass
+        ``strict=False`` to count them in ``unassigned_endpoints``
+        instead.
         """
         if hi is None:
             hi = len(log)

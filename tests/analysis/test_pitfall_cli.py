@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.cli import main
 from repro.analysis.pitfall import compute_pitfall, render_pitfall
 from repro.analysis.runner import ExperimentRunner
+from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 
 class TestPitfall:
@@ -30,6 +31,29 @@ class TestPitfall:
     def test_baseline_normalised(self, rows):
         assert rows[0].speedup_vs_single == 1.0
         assert rows[0].multi_shard_ratio == 0.0
+
+    def test_rows_match_boxed_reference_replay(self, rows, small_runner):
+        """The batched executor over rows [len - 6000, len) reproduces
+        the boxed reference ``ShardedExecution.replay`` of the same
+        6000-row tail (non-strict, default config), for the baseline
+        and for a method's final assignment."""
+        cfg = ShardedExecutionConfig()
+        tail = list(small_runner.log)[-6_000:]
+        assert len(small_runner.log) > len(tail)  # the cap is exercised
+        local = {v: 0 for it in tail for v in (it.src, it.dst)}
+        base = ShardedExecution(1, local, cfg).replay(
+            tail, arrival_rate=3.0 / cfg.service_time)
+        metis = dict(small_runner.results_for(("metis",), (4,)).get(
+            "metis", 4).assignment)
+        rep = ShardedExecution(4, metis, cfg).replay(
+            tail, arrival_rate=3.0 * 4 / cfg.service_time)
+        by_method = {r.method: r for r in rows}
+        for row, ref in ((by_method["single-shard"], base),
+                         (by_method["metis"], rep)):
+            assert row.throughput == ref.throughput
+            assert row.multi_shard_ratio == ref.multi_shard_ratio
+            assert row.p99_latency == ref.latency.p99
+            assert row.utilization_imbalance == ref.utilization_imbalance
 
     def test_render(self, rows):
         out = render_pitfall(rows)

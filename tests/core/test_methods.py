@@ -13,6 +13,7 @@ from repro.core.registry import PAPER_ORDER, available_methods, make_method
 from repro.core.rmetis import RMetisPartitioner
 from repro.core.trmetis import TRMetisPartitioner
 from repro.graph.builder import Interaction
+from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import DAY, REPARTITION_PERIOD
 
 
@@ -25,7 +26,8 @@ def make_ctx(
     window_balance=1.0,
     assignment=None,
 ):
-    """Build a ReplayContext from a raw interaction list."""
+    """Build a ReplayContext from a raw interaction list, over a
+    ColumnarLog of it as the replay engine would stream."""
     from repro.graph.builder import build_graph
 
     graph = build_graph(interactions)
@@ -44,6 +46,9 @@ def make_ctx(
         window_dynamic_edge_cut=window_cut,
         window_dynamic_balance=window_balance,
         rng=method.rng,
+        columnar_log=ColumnarLog(interactions),
+        log_hi=len(interactions),
+        log_period_start=0,
     )
 
 

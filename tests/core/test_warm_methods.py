@@ -1,10 +1,10 @@
 """Warm-mode METIS methods through the replay engine.
 
-The PR-2 engine contracts:
+The engine contracts:
 
-* with warm mode *disabled* (the default), a ColumnarLog-backed replay
-  produces metric series bit-identical to a plain-list replay — the new
-  context fields must not perturb the cold path;
+* the engine interns a plain list into a ColumnarLog, so a list replay
+  and a ColumnarLog replay of the same log are bit-identical, cold
+  *and* warm — ``warm=True`` is warm for every input;
 * with warm mode enabled, repartitionings still happen on the paper
   cadence, proposals cover the cumulative (METIS) or window (R-METIS)
   vertex set, and the inherited-labels property shows up as far fewer
@@ -68,17 +68,25 @@ class TestColdEquivalence:
         assert via_list.events == via_clog.events
         assert via_list.assignment.as_dict() == via_clog.assignment.as_dict()
 
-    def test_warm_flag_without_columnar_log_falls_back(self, log):
-        """warm=True on a plain list replay must still work (cold path)."""
+    @pytest.mark.parametrize("factory", [
+        lambda: MetisPartitioner(K, seed=1, warm=True),
+        lambda: RMetisPartitioner(K, seed=1, warm=True),
+        lambda: TRMetisPartitioner(K, seed=1, consecutive=1, cooldown=7 * DAY,
+                                   warm=True),
+    ], ids=["metis", "r-metis", "tr-metis"])
+    def test_warm_flag_on_plain_list_runs_warm(self, log, factory):
+        """warm=True on a plain list replay runs the warm path: the
+        engine interns the list, so the result equals the ColumnarLog
+        replay's (no silent cold fallback)."""
         mw = 24 * 3600.0
-        res = MultiReplayEngine(
-            list(log), [MetisPartitioner(K, seed=1, warm=True)], metric_window=mw
+        via_list = MultiReplayEngine(list(log), [factory()], metric_window=mw).run()[0]
+        via_clog = MultiReplayEngine(
+            ColumnarLog(log), [factory()], metric_window=mw
         ).run()[0]
-        assert res.events  # repartitioned on the paper cadence
-        cold = MultiReplayEngine(
-            list(log), [MetisPartitioner(K, seed=1)], metric_window=mw
-        ).run()[0]
-        assert res.series.points == cold.series.points
+        assert via_list.events  # repartitioned on the paper cadence
+        assert via_list.series.points == via_clog.series.points
+        assert via_list.events == via_clog.events
+        assert via_list.assignment.as_dict() == via_clog.assignment.as_dict()
 
 
 class TestWarmMetis:

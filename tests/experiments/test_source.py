@@ -21,7 +21,11 @@ from repro.experiments import (
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar, write_trace
 
-METHODS = ("hash", "fennel", "metis")
+#: includes every method whose code path once depended on the log's
+#: type (KL's CSR bridge, warm METIS and TR-METIS), so this gate proves
+#: the engine runs one path for both sources
+METHODS = ("hash", "fennel", "kl", "metis", "metis?warm=true",
+           "tr-metis?warm=true")
 
 
 @pytest.fixture(scope="module")

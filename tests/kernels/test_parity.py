@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import VertexKind
 from repro.kernels import StreamState
@@ -175,6 +175,39 @@ def test_graph_batch_parity(backend, log, cuts):
         assert up_g == up_r
         assert list(ew_g.items()) == list(ew_r.items())
         assert dict(vw_g) == dict(vw_r)
+
+
+def _digraph_tuple(g):
+    """Every observable of a WeightedDiGraph, insertion orders included."""
+    return (
+        [(v, g.vertex_kind(v), g.vertex_weight(v), g.first_seen(v))
+         for v in g.vertices()],
+        list(g.edges()),
+        [list(g.predecessors(v).items()) for v in g.vertices()],
+    )
+
+
+@given(log=columnar_logs(), cuts=st.lists(st.floats(0, 1), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_graph_batch_csr_bridge_matches_from_digraph(log, cuts):
+    """KL's period bridge (``graph_batch`` → ``from_graph_batch``) lays
+    out the same CSR arrays, in the same order, as the reference
+    pipeline ``from_digraph(build_graph_columnar(...))``, whose period
+    graph in turn equals the boxed ``build_graph`` fold of the same
+    rows.  KL's proposal order and tie-breaks rest on this."""
+    kr = kernels.active()
+    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
+            log.src_kind_codes(), log.dst_kind_codes())
+    for lo, hi in _splits(log, cuts):
+        first_seen, _upgrades, edge_weights, vertex_weights = (
+            kr.graph_batch(*cols, lo, hi))
+        got = CSRGraph.from_graph_batch(
+            first_seen, edge_weights, vertex_weights, log.vertex_id)
+        period = build_graph_columnar(log, lo, hi)
+        ref = CSRGraph.from_digraph(period)
+        for field in ("xadj", "adjncy", "adjwgt", "vwgt", "orig_ids"):
+            assert getattr(got, field) == getattr(ref, field), field
+        assert _digraph_tuple(period) == _digraph_tuple(build_graph(log[lo:hi]))
 
 
 # ----------------------------------------------------------------------
