@@ -148,6 +148,11 @@ def _run_sweep(runner: ExperimentRunner, args) -> None:
           f"({len(spec.methods)} methods x {len(spec.ks)} shard counts), "
           f"jobs={args.jobs}, workload={spec.workload_id()}")
     rs = runner.run(spec)
+    if runner.store is not None and runner.store.declined:
+        reasons = ", ".join(
+            f"{reason}={n}" for reason, n in sorted(runner.store.declined.items())
+        )
+        print(f"[store declined and recomputed: {reasons}]")
     rows = [
         (
             cell.method,

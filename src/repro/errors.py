@@ -12,7 +12,9 @@ their own branch of the hierarchy:
 * :class:`PartitionError` — partitioning methods (:mod:`repro.core`,
   :mod:`repro.metis`);
 * :class:`SimulationError` — sharded-execution simulator
-  (:mod:`repro.sharding`).
+  (:mod:`repro.sharding`);
+* :class:`StaleResultError` — a serialized result cell written by
+  other code (:mod:`repro.experiments`).
 """
 
 from __future__ import annotations
@@ -133,3 +135,11 @@ class UnassignedVertexError(SimulationError):
     def __init__(self, vertex: object):
         super().__init__(f"endpoint vertex has no shard assignment: {vertex!r}")
         self.vertex = vertex
+
+
+class StaleResultError(ReproError, ValueError):
+    """A serialized result cell carries another format or algorithm stamp.
+
+    Raised by :meth:`repro.experiments.results.CellResult.from_dict`;
+    the result store declines such a cell and the sweep recomputes it.
+    """

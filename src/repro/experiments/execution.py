@@ -3,7 +3,8 @@
 After a cell's partition replay finishes, its final vertex → shard
 assignment is fed through :class:`~repro.sharding.ShardedExecution`
 under the grid's :class:`~repro.experiments.spec.ExecutionSpec`, and
-the resulting throughput report is attached as ``cell.execution``.
+the resulting throughput report is attached as ``cell.execution`` (on
+a new cell: cells are frozen).
 
 Every cell executes through the batched
 :meth:`~repro.sharding.ShardedExecution.replay_columnar` path over the
@@ -17,7 +18,8 @@ miss is a bug, not a degenerate input).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import dataclasses
+from typing import Iterable, List, Mapping
 
 from repro.experiments.spec import ExecutionSpec
 from repro.graph.columnar import ColumnarLog
@@ -47,10 +49,12 @@ def execute_assignment(
 
 def attach_execution(
     log: ColumnarLog, cells: Iterable, execution: ExecutionSpec
-) -> None:
-    """Attach a throughput report to each
-    :class:`~repro.experiments.results.CellResult`, in place."""
-    for cell in cells:
-        cell.execution = execute_assignment(
+) -> List:
+    """Copies of the :class:`~repro.experiments.results.CellResult`
+    cells, each with its throughput report attached."""
+    return [
+        dataclasses.replace(cell, execution=execute_assignment(
             log, cell.key.k, cell.assignment, execution
-        )
+        ))
+        for cell in cells
+    ]

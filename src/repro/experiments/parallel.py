@@ -103,7 +103,7 @@ def replay_chunk(
     if execution is not None:
         from repro.experiments.execution import attach_execution
 
-        attach_execution(engine.log, cells, execution)
+        cells = attach_execution(engine.log, cells, execution)
     return cells
 
 

@@ -11,38 +11,81 @@ A :class:`ResultSet` maps a grid of
 the :class:`~repro.experiments.spec.ExperimentSpec` that produced it,
 and round-trips through JSON: ``ResultSet.loads(rs.dumps()) == rs``.
 
-Execution-enabled specs (:class:`ExperimentSpec` with an
-:class:`~repro.experiments.spec.ExecutionSpec`) add an ``execution``
-block to each serialized cell — the
+Each cell has one canonical JSON text, :attr:`CellResult.text`, encoded
+once from columns (format 2)::
+
+    {"format": 2, "algorithm": ALGORITHM_VERSION, "key": {...},
+     "series": {"method": ..., "k": ..., "columns": {<MetricPoint field>: [...]}},
+     "events": {<RepartitionEvent field>: [...]},
+     "vertices": [<sorted vertex ids>], "shards": [<shard of each>],
+     "shard_weights": [...], "execution": {...}}
+
+The result store writes that text as the cell's file, and
+:meth:`ResultSet.dumps` joins the texts, so a resumed sweep emits its
+files' bytes without encoding them again.  ``execution`` is present
+only for execution-enabled specs (:class:`ExperimentSpec` with an
+:class:`~repro.experiments.spec.ExecutionSpec`): the
 :class:`~repro.sharding.throughput.ThroughputReport` of replaying the
-cell's final assignment through the sharded executor (throughput,
-latency percentiles, utilization, migrations; full schema in
-``docs/execution.md``).  Plain cells serialize exactly as before; the
-key is simply absent.
+cell's final assignment through the sharded executor (full schema in
+``docs/execution.md``).
+
+A cell whose ``format`` or ``algorithm`` stamp differs from
+:data:`FORMAT` / :data:`ALGORITHM_VERSION` was written by other code:
+:meth:`CellResult.from_dict` raises
+:class:`~repro.errors.StaleResultError` instead of serving it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.assignment import ShardAssignment
 from repro.core.base import RepartitionEvent
 from repro.core.replay import ReplayResult
+from repro.errors import StaleResultError
 from repro.experiments.spec import CellKey, ExperimentSpec, MethodSpec
 from repro.metrics.series import MetricPoint, MetricSeries
 from repro.sharding.throughput import ThroughputReport
 
+#: Layout of a serialized cell; readers accept this format only.
+FORMAT = 2
+#: Version of the code that computes cell content.  Bump it in the same
+#: commit as any change that alters a cell (and so re-pins a digest in
+#: ``tests/experiments/test_results.py`` or
+#: ``tests/metis/test_refine_goldens.py``): stores then recompute every
+#: cell computed before the change instead of serving it.
+ALGORITHM_VERSION = 1
 
-@dataclasses.dataclass
+_POINT_FIELDS = tuple(f.name for f in dataclasses.fields(MetricPoint))
+_EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(RepartitionEvent))
+
+
+def _columns(rows: Sequence, names: Tuple[str, ...]) -> Dict[str, List]:
+    """``rows`` as one list per field."""
+    return {name: list(map(attrgetter(name), rows)) for name in names}
+
+
+def _rows(cls, columns: Dict[str, List], names: Tuple[str, ...]) -> List:
+    """Inverse of :func:`_columns`; ragged columns raise ``ValueError``."""
+    fields = [columns[name] for name in names]
+    if len({len(field) for field in fields}) > 1:
+        raise ValueError(f"{cls.__name__} columns differ in length")
+    return list(map(cls, *fields))
+
+
+@dataclasses.dataclass(frozen=True)
 class CellResult:
     """One (method, k, seed) replay, in serializable form.
 
     ``execution`` is present only when the spec carried an
     :class:`~repro.experiments.spec.ExecutionSpec`: the throughput
     report of replaying the log through the sharded executor under
-    this cell's final assignment.
+    this cell's final assignment.  Cells are frozen so that their
+    cached :attr:`text` cannot go stale.
     """
 
     key: CellKey
@@ -117,17 +160,27 @@ class CellResult:
             graph=graph,
         )
 
+    @functools.cached_property
+    def text(self) -> str:
+        """The canonical JSON text, ``json.dumps(self.to_dict())``,
+        encoded at most once per cell."""
+        return json.dumps(self.to_dict())
+
     def to_dict(self) -> Dict[str, Any]:
+        vertices = sorted(self.assignment)
         data: Dict[str, Any] = {
+            "format": FORMAT,
+            "algorithm": ALGORITHM_VERSION,
             "key": self.key.to_dict(),
             "series": {
                 "method": self.series.method,
                 "k": self.series.k,
-                "points": [dataclasses.asdict(p) for p in self.series.points],
+                "columns": _columns(self.series.points, _POINT_FIELDS),
             },
-            "events": [dataclasses.asdict(e) for e in self.events],
-            # JSON object keys are strings; store as pairs to keep ints
-            "assignment": [[v, s] for v, s in sorted(self.assignment.items())],
+            "events": _columns(self.events, _EVENT_FIELDS),
+            # JSON object keys are strings; parallel lists keep ints
+            "vertices": vertices,
+            "shards": [self.assignment[v] for v in vertices],
             "shard_weights": list(self.shard_weights),
         }
         if self.execution is not None:
@@ -136,22 +189,48 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CellResult":
-        series = MetricSeries(
-            method=data["series"]["method"], k=int(data["series"]["k"])
-        )
-        for p in data["series"]["points"]:
-            series.points.append(MetricPoint(**p))
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`~repro.errors.StaleResultError` for a cell with
+        another format or algorithm stamp (an unstamped cell is format
+        1), and ``ValueError``, ``KeyError`` or ``TypeError`` for one
+        that is not a cell at all.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a cell is a JSON object, not {type(data).__name__}")
+        key = CellKey.from_dict(data["key"])
+        found = (data.get("format", 1), data.get("algorithm"))
+        if found != (FORMAT, ALGORITHM_VERSION):
+            raise StaleResultError(
+                f"cell {key.label} has format {found[0]!r}, algorithm "
+                f"{found[1]!r}; expected format {FORMAT}, algorithm "
+                f"{ALGORITHM_VERSION}"
+            )
+        series = data["series"]
+        execution = data.get("execution")
         return cls(
-            key=CellKey.from_dict(data["key"]),
-            series=series,
-            events=[RepartitionEvent(**e) for e in data["events"]],
-            assignment={int(v): int(s) for v, s in data["assignment"]},
-            shard_weights=tuple(int(w) for w in data["shard_weights"]),
+            key=key,
+            series=MetricSeries(
+                method=series["method"],
+                k=int(series["k"]),
+                points=_rows(MetricPoint, series["columns"], _POINT_FIELDS),
+            ),
+            events=_rows(RepartitionEvent, data["events"], _EVENT_FIELDS),
+            assignment=dict(zip(data["vertices"], data["shards"], strict=True)),
+            shard_weights=tuple(data["shard_weights"]),
             execution=(
-                ThroughputReport.from_dict(data["execution"])
-                if data.get("execution") is not None else None
+                ThroughputReport.from_dict(execution)
+                if execution is not None else None
             ),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "CellResult":
+        """Parse a cell's canonical text (as :attr:`text` wrote it); the
+        cell keeps ``text`` instead of encoding itself again."""
+        cell = cls.from_dict(json.loads(text))
+        cell.__dict__["text"] = text
+        return cell
 
 
 MethodArg = Union[str, MethodSpec]
@@ -241,8 +320,12 @@ class ResultSet:
             cells={c.key: c for c in cells},
         )
 
-    def dumps(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def dumps(self) -> str:
+        """``json.dumps(self.to_dict())``, byte for byte, joined from
+        each cell's :attr:`CellResult.text`."""
+        spec = json.dumps(self.spec.to_dict())
+        cells = ", ".join(cell.text for cell in self._cells.values())
+        return f'{{"spec": {spec}, "cells": [{cells}]}}'
 
     @classmethod
     def loads(cls, text: str) -> "ResultSet":

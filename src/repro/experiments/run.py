@@ -166,7 +166,7 @@ def run_experiment(
             if spec.execution is not None:
                 from repro.experiments.execution import attach_execution
 
-                attach_execution(engine.log, fresh, spec.execution)
+                fresh = attach_execution(engine.log, fresh, spec.execution)
             for cell in fresh:
                 collect(cell)
         else:

@@ -8,20 +8,29 @@ workload id plus, for execution-enabled specs, the execution axis::
 
 The filename embeds a short hash of the cell's canonical label, so
 parameterised method variants that sanitize to the same prefix can
-never collide.  Files are written atomically (tmp + rename): a sweep
-killed mid-write never leaves a half cell behind, and a cell file
-either loads cleanly or is treated as absent and recomputed.
+never collide.  A file holds the cell's canonical text
+(:attr:`~repro.experiments.results.CellResult.text`, stamped with the
+cell format and ``ALGORITHM_VERSION``), and a loaded cell keeps that
+text, so ``ResultSet.dumps()`` of a resumed sweep reuses the file's
+bytes.  Files are written atomically (tmp + rename): a sweep killed
+mid-write never leaves a half cell behind.
+
+A cell file is served only if it loads cleanly, carries the current
+stamps and holds the key its filename encodes.  Otherwise the store
+declines it — counting the reason in :attr:`ResultStore.declined` — and
+the sweep recomputes the cell and overwrites the file.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
-import json
 import os
 import pathlib
 import re
 from typing import Dict, Iterable, Optional, Union
 
+from repro.errors import StaleResultError
 from repro.experiments.results import CellResult
 from repro.experiments.spec import CellKey, ExperimentSpec
 
@@ -33,6 +42,11 @@ class ResultStore:
 
     def __init__(self, root: Union[str, pathlib.Path]):
         self.root = pathlib.Path(root)
+        #: cells :meth:`load` found on disk but would not serve, by
+        #: reason: ``stale`` (another format or algorithm stamp),
+        #: ``corrupt`` (unreadable, not JSON, not an object, or a field
+        #: missing) or ``foreign`` (the key of another cell)
+        self.declined: collections.Counter = collections.Counter()
 
     # -- paths ---------------------------------------------------------
 
@@ -46,18 +60,24 @@ class ResultStore:
     # -- IO ------------------------------------------------------------
 
     def load(self, spec: ExperimentSpec, key: CellKey) -> Optional[CellResult]:
-        """The stored cell, or None if absent/corrupt (recompute then)."""
+        """The stored cell, or None if absent or declined (recompute then)."""
         path = self.cell_path(spec, key)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            cell = CellResult.from_dict(data)
+            cell = CellResult.from_json(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
+        except StaleResultError:
+            reason = "stale"
         except (OSError, ValueError, KeyError, TypeError):
-            return None
-        # the filename encodes the key, but verify: a hand-copied file
-        # from another grid must not masquerade as this cell
-        if cell.key != key:
-            return None
-        return cell
+            reason = "corrupt"
+        else:
+            # the filename encodes the key, but verify: a hand-copied
+            # file from another grid must not masquerade as this cell
+            if cell.key == key:
+                return cell
+            reason = "foreign"
+        self.declined[reason] += 1
+        return None
 
     def load_known(
         self, spec: ExperimentSpec, keys: Iterable[CellKey]
@@ -73,7 +93,7 @@ class ResultStore:
         path = self.cell_path(spec, cell.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(cell.to_dict()), encoding="utf-8")
+        tmp.write_text(cell.text, encoding="utf-8")
         os.replace(tmp, path)
         return path
 

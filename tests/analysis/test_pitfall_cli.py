@@ -118,3 +118,14 @@ class TestCLI:
         # real use; here: a fresh runner with an empty memo)
         assert main(args) == 0
         assert "sweep: 1 cells" in capsys.readouterr().out
+
+    def test_sweep_reports_declined_cells(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        args = ["sweep", "--scale", "tiny", "--methods", "hash",
+                "--grid", "2", "--store", str(store_dir)]
+        assert main(args) == 0
+        assert "declined" not in capsys.readouterr().out
+        (cell_file,) = store_dir.glob("*/*.json")
+        cell_file.write_text("[]", encoding="utf-8")
+        assert main(args) == 0
+        assert "[store declined and recomputed: corrupt=1]" in capsys.readouterr().out

@@ -179,6 +179,7 @@ class TestExecutionEnabledRuns:
             progress=lambda key, outcome: outcomes.append(outcome),
         )
         assert second == first
+        assert second.dumps() == first.dumps()
         assert outcomes == ["loaded"] * len(exec_spec.cells())
 
     def test_store_keeps_plain_and_execution_cells_apart(

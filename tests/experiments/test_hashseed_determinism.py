@@ -23,7 +23,7 @@ spec = ExperimentSpec(
     scale="tiny", workload_seed=42, methods=("hash", "fennel"), ks=(2,),
     window_hours=24.0,
 )
-print(run_experiment(spec).dumps(indent=2))
+print(run_experiment(spec).dumps())
 """
 
 

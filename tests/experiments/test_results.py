@@ -1,16 +1,22 @@
 """CellResult / ResultSet: serialization round-trips and accessors."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from repro.errors import StaleResultError
 from repro.experiments import (
     CellKey,
+    CellResult,
     ExperimentSpec,
     MethodSpec,
     ResultSet,
+    ResultStore,
     run_experiment,
 )
+from repro.experiments.results import ALGORITHM_VERSION, FORMAT
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,103 @@ class TestRoundTrip:
         back = ResultSet.loads(rs.dumps())
         cell = back.get("tr-metis?cut_threshold=0.3", 2)
         assert dict(cell.key.method.params)["cut_threshold"] == 0.3
+
+
+class TestSingleEncoding:
+    def test_dumps_joins_the_cell_texts(self, rs):
+        assert rs.dumps() == json.dumps(rs.to_dict())
+
+    def test_store_files_are_the_cell_texts(self, spec, rs, tmp_path):
+        store = ResultStore(tmp_path)
+        for cell in rs:
+            path = store.save(spec, cell)
+            assert path.read_bytes() == json.dumps(cell.to_dict()).encode()
+            assert store.load(spec, cell.key).text == cell.text
+
+    def test_cells_are_frozen(self, rs):
+        cell = rs.get("hash", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.execution = None
+
+    def test_cells_are_stamped(self, rs):
+        for cell in json.loads(rs.dumps())["cells"]:
+            assert (cell["format"], cell["algorithm"]) == (FORMAT, ALGORITHM_VERSION)
+
+
+class TestStaleCells:
+    @pytest.mark.parametrize("stamp", [
+        {"format": 1},
+        {"format": FORMAT + 1},
+        {"algorithm": ALGORITHM_VERSION + 1},
+        {"algorithm": None},
+    ])
+    def test_other_stamp_raises_naming_both(self, rs, stamp):
+        data = {**rs.get("metis", 2).to_dict(), **stamp}
+        with pytest.raises(StaleResultError) as err:
+            CellResult.from_dict(data)
+        found = f"format {data['format']!r}, algorithm {data['algorithm']!r}"
+        expected = f"expected format {FORMAT}, algorithm {ALGORITHM_VERSION}"
+        assert found in str(err.value) and expected in str(err.value)
+
+    def test_format1_resultset_does_not_load(self, rs, format1_cell):
+        text = json.dumps({
+            "spec": rs.spec.to_dict(),
+            "cells": [format1_cell(cell) for cell in rs],
+        })
+        with pytest.raises(StaleResultError, match="format 1, algorithm None"):
+            ResultSet.loads(text)
+
+    @pytest.mark.parametrize("value", [[], None, "x", 3])
+    def test_non_object_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="JSON object"):
+            CellResult.from_dict(value)
+
+    @pytest.mark.parametrize("column", ["series", "events", "shards"])
+    def test_ragged_columns_are_a_value_error(self, rs, column):
+        data = rs.get("metis", 2).to_dict()
+        lists = {
+            "series": data["series"]["columns"]["ts"],
+            "events": data["events"]["moves"],
+            "shards": data["shards"],
+        }
+        lists[column].pop()
+        with pytest.raises(ValueError):
+            CellResult.from_dict(data)
+
+
+def test_algorithm_version_pins_cell_content(tiny_workload):
+    """A digest of every cell's content, independent of the format.
+
+    Content may change only together with ``ALGORITHM_VERSION``: a
+    stored cell computed by other code is then declined instead of
+    served.
+    """
+    spec = ExperimentSpec(
+        scale="tiny", workload_seed=42,
+        methods=("hash", "fennel", "kl", "metis", "p-metis", "tr-metis",
+                 "metis?warm=true"),
+        ks=(2, 4), execution="mode=2pc",
+    )
+    view = [
+        {
+            "key": cell.key.label,
+            "points": [dataclasses.astuple(p) for p in cell.series.points],
+            "events": [dataclasses.astuple(e) for e in cell.events],
+            "assignment": sorted(cell.assignment.items()),
+            "shard_weights": list(cell.shard_weights),
+            "execution": (
+                cell.execution.to_dict() if cell.execution is not None else None
+            ),
+        }
+        for cell in run_experiment(spec, workload=tiny_workload)
+    ]
+    digest = hashlib.sha256(
+        json.dumps(view, sort_keys=True).encode()).hexdigest()[:16]
+    assert (ALGORITHM_VERSION, digest) == (1, "243532e56810d30b"), (
+        "cell content changed: re-pinning this digest requires bumping "
+        "ALGORITHM_VERSION in repro/experiments/results.py in the same "
+        "commit, so that stores recompute the cells computed before"
+    )
 
 
 class TestAccessors:

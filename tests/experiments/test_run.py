@@ -7,6 +7,8 @@ figure was validated against), for any ``jobs``, and resumed runs must
 re-execute zero completed cells.
 """
 
+import json
+
 import pytest
 
 from repro.core.registry import PAPER_ORDER, make_method
@@ -164,6 +166,7 @@ class TestResume:
             progress=lambda key, outcome: outcomes.append(outcome),
         )
         assert second == first
+        assert second.dumps() == first.dumps()
         assert outcomes == ["loaded"] * len(paper_spec.cells())
 
     def test_partial_resume_completes_missing_cells(self, paper_spec, tiny_workload, tmp_path):
@@ -186,8 +189,54 @@ class TestResume:
         key = paper_spec.cells()[0]
         store.cell_path(paper_spec, key).write_text("{not json", encoding="utf-8")
         assert store.load(paper_spec, key) is None
+        assert store.declined == {"corrupt": 1}
         rs = run_experiment(paper_spec, workload=tiny_workload, store=store)
         assert rs.cell(key).series.points  # recomputed cleanly
+
+    @pytest.mark.parametrize(
+        "text", ["[]", "null", '"x"', "3", "{}", "truncated"])
+    def test_store_declines_non_cell_json_as_corrupt(self, text, tiny_workload, tmp_path):
+        spec = ExperimentSpec(scale="tiny", methods=("hash",), ks=(2,))
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        run_experiment(spec, workload=tiny_workload, store=store)
+        path = store.cell_path(spec, key)
+        if text == "truncated":
+            text = path.read_text(encoding="utf-8")
+            text = text[: len(text) // 2]
+        path.write_text(text, encoding="utf-8")
+
+        outcomes = {}
+        run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "computed"}
+        assert store.declined == {"corrupt": 1}
+        assert store.load(spec, key) is not None  # the file was rewritten
+
+    def test_format1_cell_is_recomputed_and_counted(
+            self, paper_spec, paper_rs, tiny_workload, tmp_path, format1_cell):
+        """A cell written before cells were stamped is declined as
+        stale and recomputed, never served."""
+        store = ResultStore(tmp_path / "results")
+        run_experiment(paper_spec, workload=tiny_workload, store=store)
+        key = paper_spec.cells()[0]
+        path = store.cell_path(paper_spec, key)
+        path.write_text(json.dumps(format1_cell(paper_rs.cell(key))), encoding="utf-8")
+
+        outcomes = {}
+        rs = run_experiment(
+            paper_spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {
+            cell: "computed" if cell == key else "loaded"
+            for cell in paper_spec.cells()
+        }
+        assert store.declined == {"stale": 1}
+        assert json.loads(path.read_text(encoding="utf-8"))["format"] == 2
+        assert rs == paper_rs
 
     def test_store_rejects_mismatched_key(self, paper_spec, tiny_workload, tmp_path):
         store = ResultStore(tmp_path / "results")
@@ -199,6 +248,7 @@ class TestResume:
             encoding="utf-8",
         )
         assert store.load(paper_spec, a) is None
+        assert store.declined == {"foreign": 1}
 
 
 class TestCustomMethodsInPools:

@@ -6,7 +6,10 @@ the rewritten path must keep reproducing them bit-for-bit under every
 backend.  They are deliberately brittle: any change to refinement
 results — cold recursive/direct METIS, warm-started repartitioning, or
 the raw refine functions — flips a digest and must be a conscious,
-documented decision (re-capture with this file's helpers).
+documented decision (re-capture with this file's helpers).  Re-pinning
+a digest requires bumping ``ALGORITHM_VERSION`` in
+``repro/experiments/results.py`` in the same commit: result stores then
+recompute the cells computed by the old code instead of serving them.
 """
 
 import hashlib
