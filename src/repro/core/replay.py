@@ -85,17 +85,6 @@ def apply_proposal(
     return moves
 
 
-def recount_static_cut(graph: WeightedDiGraph, assignment: ShardAssignment) -> int:
-    """Recompute the distinct-directed-edge cut after a repartition."""
-    cut = 0
-    for src, dst, _w in graph.edges():
-        if src == dst:
-            continue
-        if assignment[src] != assignment[dst]:
-            cut += 1
-    return cut
-
-
 class ReplayEngine:
     """Replays an interaction log through one partitioning method.
 

@@ -62,8 +62,8 @@ reserved for files that fail to parse.
 
 RL011–RL013 are interprocedural: they run on a whole-project symbol
 table and call graph (:mod:`repro.lint.callgraph`,
-:mod:`repro.lint.dataflow`).  Runs are incremental by default — see
-:mod:`repro.lint.cache` and ``docs/lint_internals.md``.
+:mod:`repro.lint.dataflow`; see ``docs/lint_internals.md``).  Every
+run parses and analyses every file it is given.
 """
 
 from __future__ import annotations

@@ -9,11 +9,8 @@ a whole-project view without ever importing the analysed code:
   :class:`ModuleSummary` — an intermediate representation holding
   everything the interprocedural rules need (functions and the calls
   they make, classes with fields/bases/``__init__`` signatures,
-  const-evaluable top-level assignments for the rctrace-drift checks,
-  registry facts, process-pool ``submit`` sites).  Summaries are plain
-  JSON-serializable data, which is what makes the incremental lint
-  cache (:mod:`repro.lint.cache`) possible: a warm run loads cached
-  summaries instead of re-parsing unchanged files.
+  top-level assignments for the rctrace-drift checks, registry facts,
+  process-pool ``submit`` sites).
 * :class:`CallGraph` joins the summaries of one lint run into a symbol
   table and resolves call sites to project functions: per-module
   import/alias resolution (``import repro.graph.io as rio``),
@@ -193,8 +190,8 @@ class ModuleSummary:
     top_level_classes: List[Tuple[str, int, int]] = dataclasses.field(
         default_factory=list
     )
-    #: const-evaluable top-level assigns (RL005): (name, encoded, line, col)
-    consts: List[Tuple[str, Dict[str, object], int, int]] = dataclasses.field(
+    #: top-level ``NAME = <expr>`` assigns (RL005): (name, expr, line, col)
+    consts: List[Tuple[str, ast.expr, int, int]] = dataclasses.field(
         default_factory=list
     )
     #: class names listed as _FACTORIES values (RL008)
@@ -204,76 +201,6 @@ class ModuleSummary:
     registry_present: bool = False
     #: process-pool submit sites (RL012)
     submits: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        functions = {
-            name: FunctionInfo(**info)
-            for name, info in data.get("functions", {}).items()
-        }
-        classes = {
-            name: ClassInfo(**info) for name, info in data.get("classes", {}).items()
-        }
-        return cls(
-            relpath=data["relpath"],
-            modname=data["modname"],
-            is_package=data["is_package"],
-            exports=dict(data.get("exports", {})),
-            functions=functions,
-            classes=classes,
-            top_level_classes=[tuple(t) for t in data.get("top_level_classes", ())],
-            consts=[tuple(c) for c in data.get("consts", ())],
-            factories=list(data.get("factories", ())),
-            register_calls=list(data.get("register_calls", ())),
-            registry_present=bool(data.get("registry_present", False)),
-            submits=list(data.get("submits", ())),
-        )
-
-
-# ----------------------------------------------------------------------
-# RL005 const encoding (expressions serialized for the cache, evaluated
-# at project level where cross-module name references resolve)
-
-
-def encode_const(node: ast.AST) -> Optional[Dict[str, object]]:
-    """Serializable form of a const-evaluable expression, else None."""
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (str, int, float, bool)) or node.value is None:
-            return {"k": "c", "v": node.value}
-        return None
-    if isinstance(node, (ast.Tuple, ast.List)):
-        elts = [encode_const(e) for e in node.elts]
-        if any(e is None for e in elts):
-            return None
-        return {"k": "t", "v": elts}
-    if isinstance(node, ast.Dict):
-        items = []
-        for key, value in zip(node.keys, node.values):
-            if key is None:
-                continue
-            ek, ev = encode_const(key), encode_const(value)
-            if ek is None or ev is None:
-                return None
-            items.append([ek, ev])
-        return {"k": "d", "v": items}
-    if isinstance(node, ast.Name):
-        return {"k": "n", "v": node.id}
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand = encode_const(node.operand)
-        return None if operand is None else {"k": "neg", "v": operand}
-    if isinstance(node, ast.Call):
-        dotted = _dotted(node.func) or ""
-        tail = dotted.split(".")[-1]
-        if tail == "Struct" and len(node.args) == 1 and not node.keywords:
-            arg = encode_const(node.args[0])
-            return None if arg is None else {"k": "struct", "v": arg}
-        if dotted == "frozenset" and len(node.args) <= 1 and not node.keywords:
-            arg = encode_const(node.args[0]) if node.args else {"k": "t", "v": []}
-            return None if arg is None else {"k": "fs", "v": arg}
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -578,11 +505,9 @@ def build_summary(relpath: str, tree: ast.Module) -> ModuleSummary:
         elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
             if isinstance(target, ast.Name):
-                encoded = encode_const(stmt.value)
-                if encoded is not None:
-                    summary.consts.append(
-                        (target.id, encoded, stmt.lineno, stmt.col_offset)
-                    )
+                summary.consts.append(
+                    (target.id, stmt.value, stmt.lineno, stmt.col_offset)
+                )
 
     # classes first: self-dispatch and attr types need them in scope
     for node in ast.walk(tree):
@@ -950,10 +875,6 @@ class CallGraph:
                         out.append((callee, call))
                 self._edges[symbol] = out
         return self._edges
-
-    def file_of(self, symbol: str) -> Optional[str]:
-        entry = self.functions.get(symbol)
-        return entry[0].relpath if entry else None
 
     def entry_symbols(self, patterns: Sequence[str]) -> List[str]:
         """Function symbols matching dotted-suffix entry patterns."""

@@ -16,17 +16,14 @@ the stable ``reprolint/2`` schema::
                    "repro.core.helpers._jitter"]}
       ],
       "counts": {"error": 1, "advice": 0, "suppressed": 2},
-      "cache": {"hit": 120, "parsed": 3, "impacted": 5},
       "exit": 1
     }
 
 ``chain`` appears only on interprocedural findings (RL011) and lists
-the call path from the replay entry point to the tainted function;
-``cache`` appears only on cache-enabled runs (the default — see
-``--no-cache`` / ``--cache-path`` / ``--changed-only``).  Findings are
-sorted by (file, line, col, rule) so reports diff cleanly across runs;
-``file`` is relative to the common ancestor of the path arguments,
-with ``/`` separators on every platform.
+the call path from the replay entry point to the tainted function.
+Findings are sorted by (file, line, col, rule) so reports diff cleanly
+across runs; ``file`` is relative to the common ancestor of the path
+arguments, with ``/`` separators on every platform.
 """
 
 from __future__ import annotations
@@ -73,28 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-advice",
         action="store_true",
         help="omit advice-level findings from the report",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental lint cache (always analyze cold)",
-    )
-    parser.add_argument(
-        "--cache-path",
-        metavar="FILE",
-        help=(
-            "cache file location (default: .reprolint_cache.json in "
-            "the lint root)"
-        ),
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report only findings in files re-analyzed this run "
-            "(changed files plus their call-graph dependents); exit "
-            "status still reflects the reported findings only"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -151,13 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
     try:
-        report = lint_paths(
-            args.paths,
-            select=select,
-            use_cache=not args.no_cache,
-            cache_path=args.cache_path,
-            changed_only=args.changed_only,
-        )
+        report = lint_paths(args.paths, select=select)
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
-"""Taint propagation and dependency closures over the call graph.
+"""Taint propagation over the call graph.
 
-Three small, deliberately conservative analyses power the
+Two small, deliberately conservative analyses power the
 interprocedural rules:
 
 * :func:`reachable_taints` — BFS from the replay/partitioning entry
@@ -12,10 +12,6 @@ interprocedural rules:
   ``_FORK_SHARED`` module global directly or through any chain of
   project calls; submitting one of these to a process pool is only
   sound under the ``fork`` start method (RL012).
-* :func:`file_closure` / :func:`reverse_file_closure` — file-level
-  projections of the call graph used by the incremental cache: when a
-  file changes, every file whose functions (transitively) call into it
-  must be re-checked for the interprocedural rules.
 
 All traversals are monotone over an over-approximated edge set that
 only ever *misses* dynamic edges, so a clean report is trustworthy for
@@ -117,56 +113,3 @@ def fork_shared_readers(graph: CallGraph) -> Set[str]:
                 tainted.add(caller)
                 queue.append(caller)
     return tainted
-
-
-def file_dependencies(graph: CallGraph) -> Dict[str, Set[str]]:
-    """relpath -> relpaths of files it *directly* calls into."""
-    deps: Dict[str, Set[str]] = {s.relpath: set() for s in graph.summaries}
-    for caller, edges in graph.edges.items():
-        src = graph.file_of(caller)
-        if src is None:
-            continue
-        for callee, _call in edges:
-            dst = graph.file_of(callee)
-            if dst is not None and dst != src:
-                deps[src].add(dst)
-    return deps
-
-
-def file_closure(deps: Dict[str, Set[str]], start: str) -> Set[str]:
-    """Forward closure: every file ``start`` transitively calls into."""
-    out: Set[str] = set()
-    queue = deque([start])
-    while queue:
-        relpath = queue.popleft()
-        for dep in deps.get(relpath, ()):
-            if dep not in out:
-                out.add(dep)
-                queue.append(dep)
-    out.discard(start)
-    return out
-
-
-def reverse_file_closure(
-    deps: Dict[str, Set[str]], changed: Set[str]
-) -> Set[str]:
-    """Files whose analysis may shift when ``changed`` files change.
-
-    The reverse closure of the file-dependency relation: a caller's
-    interprocedural findings depend on its callees' summaries, so every
-    transitive caller of a changed file is impacted (the changed files
-    themselves are included).
-    """
-    callers: Dict[str, Set[str]] = {}
-    for src, dsts in deps.items():
-        for dst in dsts:
-            callers.setdefault(dst, set()).add(src)
-    impacted: Set[str] = set(changed)
-    queue = deque(changed)
-    while queue:
-        relpath = queue.popleft()
-        for caller in callers.get(relpath, ()):
-            if caller not in impacted:
-                impacted.add(caller)
-                queue.append(caller)
-    return impacted

@@ -112,31 +112,13 @@ class Module:
     def summary(self):
         """The module's :class:`~repro.lint.callgraph.ModuleSummary`.
 
-        Built lazily from the AST (or pre-set by
-        :meth:`from_cache`); None for files that do not parse.
+        Built lazily from the AST; None for files that do not parse.
         """
         if self._summary is None and self.tree is not None:
             from repro.lint.callgraph import build_summary
 
             self._summary = build_summary(self.relpath, self.tree)
         return self._summary
-
-    @classmethod
-    def from_cache(cls, abspath: str, relpath: str, summary, disables) -> "Module":
-        """A module restored from the lint cache: summary + suppression
-        table only, no source text and no AST (module rules skip it;
-        its per-module findings come from the cache)."""
-        module = cls.__new__(cls)
-        module.abspath = abspath
-        module.relpath = relpath.replace(os.sep, "/")
-        module.text = None
-        module.parts = tuple(module.relpath.split("/"))
-        module.basename = module.parts[-1]
-        module.tree = None
-        module.parse_error = None
-        module.disables = disables
-        module._summary = summary
-        return module
 
     def in_dirs(self, *names: str) -> bool:
         """True when any *directory* segment of the path matches."""
@@ -156,7 +138,7 @@ class Project:
     @property
     def summaries(self):
         """Module summaries of every parseable module, in module order
-        (the project rules' working set — cached or freshly built)."""
+        (the project rules' working set)."""
         return [m.summary for m in self.modules if m.summary is not None]
 
 
@@ -167,10 +149,6 @@ class LintReport:
     findings: Tuple[Finding, ...]   #: kept findings, sorted
     suppressed: int                 #: findings removed by disable comments
     files: int                      #: modules linted
-    #: incremental-cache statistics when the run used the cache
-    #: (``hit``/``parsed``/``impacted`` counts plus the file lists);
-    #: None for uncached runs
-    cache_stats: Optional[Dict[str, object]] = None
 
     @property
     def errors(self) -> Tuple[Finding, ...]:
@@ -187,7 +165,7 @@ class LintReport:
 
     def to_dict(self) -> Dict[str, object]:
         """Stable JSON-ready form (the ``--format json`` schema)."""
-        out: Dict[str, object] = {
+        return {
             "schema": "reprolint/2",
             "files": self.files,
             "findings": [f.to_dict() for f in self.findings],
@@ -198,13 +176,6 @@ class LintReport:
             },
             "exit": self.exit_code,
         }
-        if self.cache_stats is not None:
-            out["cache"] = {
-                "hit": self.cache_stats.get("hit", 0),
-                "parsed": self.cache_stats.get("parsed", 0),
-                "impacted": self.cache_stats.get("impacted", 0),
-            }
-        return out
 
 
 def _parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
@@ -260,7 +231,7 @@ def collect_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(out))
 
 
-def _lint_root(files: Sequence[str], paths: Sequence[str]) -> str:
+def _lint_root(paths: Sequence[str]) -> str:
     """Directory findings are reported relative to.
 
     The common ancestor of the *arguments* (not the files), so
@@ -285,7 +256,7 @@ def _lint_root(files: Sequence[str], paths: Sequence[str]) -> str:
 def load_project(paths: Sequence[str]) -> Project:
     """Parse every Python file reachable from ``paths``."""
     files = collect_files(paths)
-    root = _lint_root(files, paths)
+    root = _lint_root(paths)
     modules = []
     for abspath in files:
         with open(abspath, "r", encoding="utf-8") as f:
@@ -318,7 +289,15 @@ def lint_project(
     for rule in active_rules(select):
         findings.extend(rule.run(project))
 
-    kept, suppressed = apply_suppressions(findings, project.by_relpath)
+    kept: List[Finding] = []
+    suppressed = 0
+    for finding in findings:
+        module = project.by_relpath.get(finding.path)
+        disabled = module.disables.get(finding.line, frozenset()) if module else frozenset()
+        if finding.rule in disabled:
+            suppressed += 1
+        else:
+            kept.append(finding)
     return LintReport(
         findings=tuple(sorted(kept)),
         suppressed=suppressed,
@@ -326,40 +305,8 @@ def lint_project(
     )
 
 
-def apply_suppressions(
-    findings: Iterable[Finding], by_relpath: Dict[str, Module]
-) -> Tuple[List[Finding], int]:
-    """(kept findings, suppressed count) after the disable tables."""
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        module = by_relpath.get(finding.path)
-        disabled = module.disables.get(finding.line, frozenset()) if module else frozenset()
-        if finding.rule in disabled:
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
-
-
 def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    use_cache: bool = False,
-    cache_path: Optional[str] = None,
-    changed_only: bool = False,
+    paths: Sequence[str], select: Optional[Iterable[str]] = None
 ) -> LintReport:
-    """Lint the given files/directories; the library entry point.
-
-    With ``use_cache`` (the CLI default), unchanged files are restored
-    from the content-hash cache (see :mod:`repro.lint.cache`) instead
-    of being re-parsed; ``--select`` runs always bypass the cache so a
-    partial rule set never poisons cached full-run findings.
-    """
-    if use_cache and select is None:
-        from repro.lint.cache import lint_paths_cached
-
-        return lint_paths_cached(
-            paths, cache_path=cache_path, changed_only=changed_only
-        )
+    """Lint the given files/directories; the library entry point."""
     return lint_project(load_project(paths), select=select)

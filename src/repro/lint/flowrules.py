@@ -19,8 +19,8 @@ These are the rules PR 6's intraprocedural pass could not express:
   (``label()``/``store_id()``/``identity``), or carry a justified
   suppression — statically closing the PR 3 cache-collision class.
 
-All three are project rules working from module summaries, so cached
-summaries replay them without re-parsing unchanged files.
+All three are project rules: they read the module summaries through
+one call graph per lint run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def _graph_for(project: Project) -> CallGraph:
 class TransitiveDeterminismTaint(Rule):
     id = "RL011"
     name = "transitive-taint"
-    project_rule = True
     rationale = (
         "a helper that reads the wall clock or unseeded randomness "
         "three frames below a replay entry point corrupts results just "
@@ -99,7 +98,6 @@ class TransitiveDeterminismTaint(Rule):
 class ProcessPoolBoundary(Rule):
     id = "RL012"
     name = "pool-boundary"
-    project_rule = True
     rationale = (
         "arguments to ProcessPoolExecutor.submit are pickled through "
         "the call pipe; lambdas, nested functions, open handles and "
@@ -169,7 +167,6 @@ class ProcessPoolBoundary(Rule):
 class StoreIdentityCompleteness(Rule):
     id = "RL013"
     name = "store-identity"
-    project_rule = True
     rationale = (
         "the result store is keyed by spec identity payloads; a spec "
         "field that does not flow into label()/store_id()/identity "

@@ -75,16 +75,15 @@ def active_rules(select: Optional[Iterable[str]] = None) -> List["Rule"]:
 
 
 class Rule:
-    """Base class; subclasses set the metadata and one check method."""
+    """Base class; subclasses set the metadata and one check method.
+
+    Module rules implement :meth:`check_module`; project rules override
+    :meth:`run` and read the project's module summaries.
+    """
 
     id: str = "RL000"
     name: str = "abstract"
     severity: str = SEVERITY_ERROR
-    #: project rules override :meth:`run` and work from the whole
-    #: project's *module summaries* — never from per-file ASTs — so
-    #: the incremental cache can rerun them without re-parsing
-    #: unchanged files; module rules are cached per file instead
-    project_rule: bool = False
     #: one-line rationale (surfaced by ``--list-rules`` and the docs)
     rationale: str = ""
     #: minimal example violation, for the docs table
@@ -589,9 +588,15 @@ class _Unevaluable(Exception):
 
 
 def _const_eval(node: ast.AST, env: Dict[str, object]) -> object:
-    """Literal evaluator over module constants (tuples, dicts, names)."""
+    """Literal evaluator over module constants (tuples, dicts, names).
+
+    Any other shape raises :class:`_Unevaluable`, which leaves the name
+    unbound in RL005's environment (see docs/lint_internals.md).
+    """
     if isinstance(node, ast.Constant):
-        return node.value
+        if node.value is None or isinstance(node.value, (str, int, float, bool)):
+            return node.value
+        raise _Unevaluable("constant type")
     if isinstance(node, (ast.Tuple, ast.List)):
         return tuple(_const_eval(elt, env) for elt in node.elts)
     if isinstance(node, ast.Dict):
@@ -609,7 +614,7 @@ def _const_eval(node: ast.AST, env: Dict[str, object]) -> object:
         if isinstance(operand, (int, float)):
             return -operand
         raise _Unevaluable("usub")
-    if isinstance(node, ast.Call):
+    if isinstance(node, ast.Call) and not node.keywords:
         dotted = _dotted(node.func) or ""
         if dotted.split(".")[-1] == "Struct" and len(node.args) == 1:
             fmt = _const_eval(node.args[0], env)
@@ -623,49 +628,7 @@ def _const_eval(node: ast.AST, env: Dict[str, object]) -> object:
             arg = _const_eval(node.args[0], env) if node.args else ()
             if isinstance(arg, tuple):
                 return frozenset(arg)
-    raise _Unevaluable(ast.dump(node)[:40])
-
-
-def _eval_encoded(enc: Dict[str, object], env: Dict[str, object]) -> object:
-    """Evaluate a summary-encoded const expression (see
-    :func:`repro.lint.callgraph.encode_const`) against ``env``.
-
-    Same semantics as :func:`_const_eval`, but over the serialized form
-    so cached summaries can replay the evaluation without an AST.
-    """
-    kind, value = enc["k"], enc["v"]
-    if kind == "c":
-        return value
-    if kind == "t":
-        return tuple(_eval_encoded(e, env) for e in value)
-    if kind == "d":
-        return {
-            _eval_encoded(k, env): _eval_encoded(v, env) for k, v in value
-        }
-    if kind == "n":
-        if value in env:
-            return env[value]
-        raise _Unevaluable(value)
-    if kind == "neg":
-        operand = _eval_encoded(value, env)
-        if isinstance(operand, (int, float)):
-            return -operand
-        raise _Unevaluable("usub")
-    if kind == "struct":
-        fmt = _eval_encoded(value, env)
-        if isinstance(fmt, str):
-            try:
-                struct.calcsize(fmt)
-            except struct.error as exc:
-                raise _Unevaluable(f"bad struct format: {exc}") from exc
-            return _Struct(fmt)
-        raise _Unevaluable("struct")
-    if kind == "fs":
-        arg = _eval_encoded(value, env)
-        if isinstance(arg, tuple):
-            return frozenset(arg)
-        raise _Unevaluable("frozenset")
-    raise _Unevaluable(str(kind))
+    raise _Unevaluable(type(node).__name__)
 
 
 @register
@@ -680,8 +643,6 @@ class TraceFormatDrift(Rule):
     )
     example = '_SECTION_ENTRY = struct.Struct("<BBHQQ")  # no longer 12 bytes'
 
-    project_rule = True
-
     #: the byte-layout contracts (module docstring of repro.graph.io)
     _HEADER_BYTES = 64
     _SECTION_ENTRY_BYTES = 12
@@ -692,9 +653,9 @@ class TraceFormatDrift(Rule):
         env: Dict[str, object] = {}
         anchors: Dict[str, Tuple[str, int, int]] = {}
         for summary in project.summaries:
-            for name, encoded, line, col in summary.consts:
+            for name, expr, line, col in summary.consts:
                 try:
-                    value = _eval_encoded(encoded, env)
+                    value = _const_eval(expr, env)
                 except _Unevaluable:
                     continue
                 env[name] = value
@@ -965,8 +926,6 @@ class RegistryCompleteness(Rule):
         "unreachable from specs and silently skips parameter validation"
     )
     example = "class NewPartitioner(PartitionMethod): ...  # never registered"
-
-    project_rule = True
 
     _BASE = "PartitionMethod"
     _FACTORIES_NAME = "_FACTORIES"

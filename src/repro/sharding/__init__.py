@@ -21,7 +21,6 @@ from repro.sharding.events import EventQueue, ScheduledEvent
 from repro.sharding.simulator import Simulator
 from repro.sharding.shard import Shard
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
-from repro.sharding.migration import MigrationModel
 from repro.sharding.throughput import LatencyStats, ThroughputReport
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "Shard",
     "ShardedExecution",
     "ShardedExecutionConfig",
-    "MigrationModel",
     "LatencyStats",
     "ThroughputReport",
 ]

@@ -1,23 +1,17 @@
 """Call-graph construction and resolution edge cases.
 
 Summaries are built straight from parsed sources (no filesystem), so
-these tests pin the resolver semantics the interprocedural rules and
-the cache invalidation both depend on: aliased imports, ``__init__``
-re-exports, ``self.`` dispatch through annotated attributes, base-class
-method resolution, and cycle termination.
+these tests pin the resolver semantics the interprocedural rules
+depend on: aliased imports, ``__init__`` re-exports, ``self.``
+dispatch through annotated attributes, base-class method resolution,
+and cycle termination.
 """
 
 import ast
 import textwrap
 
-from repro.lint.callgraph import CallGraph, ModuleSummary, build_summary, module_name
-from repro.lint.dataflow import (
-    file_dependencies,
-    fork_shared_readers,
-    reachable_taints,
-    reverse_file_closure,
-    shortest_chains,
-)
+from repro.lint.callgraph import CallGraph, build_summary, module_name
+from repro.lint.dataflow import fork_shared_readers, reachable_taints, shortest_chains
 
 
 def graph_of(files):
@@ -310,36 +304,3 @@ class TestDataflow:
         assert fork_shared_readers(graph) == {
             "pkg.mod.direct", "pkg.mod.indirect",
         }
-
-    def test_reverse_file_closure_follows_dependents(self):
-        graph = self._cyclic_graph()
-        deps = file_dependencies(graph)
-        closure = reverse_file_closure(deps, {"pkg/a.py"})
-        assert closure == {"pkg/a.py", "pkg/b.py"}
-
-
-class TestSummaryRoundTrip:
-    def test_summary_survives_dict_round_trip(self):
-        tree = ast.parse(textwrap.dedent("""
-            import dataclasses
-            from pkg.io import load
-
-            LIMIT = 4
-
-            @dataclasses.dataclass(frozen=True)
-            class Spec:
-                scale: str = "small"
-
-                def identity(self):
-                    return self.scale
-
-            def run(path):
-                return load(path)
-        """))
-        summary = build_summary("pkg/mod.py", tree)
-        restored = ModuleSummary.from_dict(summary.to_dict())
-        assert restored.modname == summary.modname
-        assert set(restored.functions) == set(summary.functions)
-        assert restored.functions["run"].calls == summary.functions["run"].calls
-        assert restored.classes["Spec"].fields == summary.classes["Spec"].fields
-        assert restored.exports == summary.exports

@@ -142,8 +142,6 @@ class TestCli:
         assert data["exit"] == 1
         assert data["files"] == 1
         assert data["counts"] == {"error": 1, "advice": 0, "suppressed": 0}
-        # cache-enabled CLI runs report cache statistics
-        assert data["cache"] == {"hit": 0, "parsed": 1, "impacted": 1}
         (finding,) = data["findings"]
         assert finding == {
             "file": "pkg/mod.py",
@@ -158,15 +156,28 @@ class TestCli:
     def test_json_schema_without_cache_omits_cache_key(self, tmp_path):
         pkg = self._violating_tree(tmp_path)
         out_file = tmp_path / "report.json"
-        assert (
-            main(
-                [str(pkg), "--no-cache", "--format", "json", "--output", str(out_file)]
-            )
-            == 1
-        )
+        assert main([str(pkg), "--format", "json", "--output", str(out_file)]) == 1
         data = json.loads(out_file.read_text())
         assert data["schema"] == "reprolint/2"
         assert "cache" not in data
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--no-cache"], ["--cache-path", "c.json"], ["--changed-only"]],
+        ids=["no-cache", "cache-path", "changed-only"],
+    )
+    def test_cache_flags_are_unknown_arguments(self, tmp_path, capsys, flag):
+        pkg = self._violating_tree(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([str(pkg), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_lint_leaves_the_tree_untouched(self, tmp_path):
+        pkg = self._violating_tree(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(pkg)]) == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_findings_sorted_for_stable_diffs(self, tmp_path):
         write(tmp_path, "pkg/b.py", "import random\nX = random.random()\n")

@@ -1,14 +1,17 @@
-"""Interprocedural rule behaviour beyond the fixture annotations.
+"""Project-rule behaviour beyond the fixture annotations.
 
 The fixture suite pins *where* RL011–RL013 fire; these tests pin the
 evidence they attach (call chains, message contents) and run the
 store-identity rule against the real ``ExperimentSpec`` to prove it
 catches the regression class it was built for: a spec field dropped
-from the identity payload.
+from the identity payload.  RL005's tests pin which constant shapes
+the rctrace-drift rule evaluates at all.
 """
 
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.lint import lint_paths
 
@@ -143,3 +146,30 @@ class TestStoreIdentity:
         (finding,) = findings_for(report, "RL013")
         assert "'window_hours' of ExperimentSpec" in finding.message
         assert "collide in the result store" in finding.message
+
+
+class TestTraceFormatConsts:
+    @pytest.mark.parametrize(
+        "evaluated, skipped",
+        [
+            ('_HEADER = struct.Struct("<I")', '_HEADER = struct.Struct("<I", x=1)'),
+            (
+                'ENC_A = 3\n_ENC_NAMES = {1: "a"}',
+                'ENC_A = 3\n_ENC_NAMES = {1: b"a"}',
+            ),
+        ],
+        ids=["struct-keyword", "bytes-constant"],
+    )
+    def test_rl005_ignores_constants_outside_its_grammar(
+        self, tmp_path, evaluated, skipped
+    ):
+        # a shape outside RL005's literal grammar leaves the name
+        # unbound, so it cannot raise a finding
+        def rl005(source):
+            write(tmp_path, "pkg/trace_io.py", "import struct\n" + source + "\n")
+            return findings_for(
+                lint_paths([str(tmp_path / "pkg")], select=["RL005"]), "RL005"
+            )
+
+        assert len(rl005(evaluated)) == 1
+        assert rl005(skipped) == []

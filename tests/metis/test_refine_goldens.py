@@ -10,6 +10,8 @@ documented decision (re-capture with this file's helpers).  Re-pinning
 a digest requires bumping ``ALGORITHM_VERSION`` in
 ``repro/experiments/results.py`` in the same commit: result stores then
 recompute the cells computed by the old code instead of serving them.
+Both tests assert the version together with the digest, so bumping the
+version fails them too until this file is updated with it.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import random
 import pytest
 
 from repro import kernels
+from repro.experiments.results import ALGORITHM_VERSION
 from repro.graph import generators as gen
 from repro.graph.undirected import collapse_to_undirected
 from repro.metis.api import part_graph
@@ -33,6 +36,12 @@ from repro.metis.refine import (
 #: sha256 prefixes captured from the pre-rewrite implementations
 REFINE_DIGEST = "cc431a0ab81341c2"
 PART_GRAPH_DIGEST = "e19a1e424d96b43e"
+
+_REPIN = (
+    "the refinement goldens are pinned together with ALGORITHM_VERSION: "
+    "re-pinning a golden requires bumping it in "
+    "repro/experiments/results.py in the same commit"
+)
 
 
 def _h(obj):
@@ -85,7 +94,7 @@ def test_refine_functions_match_pre_rewrite_digest(backend):
                       for _ in range(n)]
                 moves = rebalance_kway(g, p4, k, targets)
                 ref[f"rebal_{seed}_{k}"] = (moves, p4)
-    assert _h(ref) == REFINE_DIGEST
+    assert (ALGORITHM_VERSION, _h(ref)) == (1, REFINE_DIGEST), _REPIN
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())
@@ -108,4 +117,4 @@ def test_part_graph_cold_and_warm_match_pre_rewrite_digest(backend):
                                   warm_start=cold.assignment)
                 pg[f"warm_{seed}_{k}"] = (
                     warm.warm, warm.edge_cut, sorted(warm.assignment.items()))
-    assert _h(pg) == PART_GRAPH_DIGEST
+    assert (ALGORITHM_VERSION, _h(pg)) == (1, PART_GRAPH_DIGEST), _REPIN

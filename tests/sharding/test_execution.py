@@ -1,11 +1,9 @@
-"""Tests for 2PC sharded execution, migration and throughput accounting."""
+"""Tests for 2PC sharded execution and throughput accounting."""
 
 import pytest
 
-from repro.ethereum.state import WorldState
 from repro.graph.builder import Interaction
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
-from repro.sharding.migration import MigrationModel
 from repro.sharding.throughput import LatencyStats
 
 
@@ -121,40 +119,3 @@ class TestLatencyStats:
         assert stats.p99 == pytest.approx(99, abs=1)
         assert stats.maximum == 100
         assert stats.mean == pytest.approx(50.5)
-
-
-class TestMigration:
-    def test_cost_of_moves(self):
-        state = WorldState()
-        eoa = state.create_eoa()
-        contract = state.create_contract((0,), initial_storage={i: i + 1 for i in range(10)})
-        state.discard_journal()
-        model = MigrationModel(bandwidth=1000.0, per_vertex_overhead=0)
-        before = {eoa.address: 0, contract.address: 1}
-        after = {eoa.address: 1, contract.address: 1}
-        cost = model.cost_of(before, after, state, k=2)
-        assert cost.vertices_moved == 1
-        assert cost.bytes_moved == eoa.state_bytes()
-        assert cost.per_shard_send_time[0] == pytest.approx(eoa.state_bytes() / 1000.0)
-        assert cost.per_shard_recv_time[1] == pytest.approx(eoa.state_bytes() / 1000.0)
-
-    def test_contract_storage_dominates(self):
-        """The paper's point: moving a contract moves its whole storage."""
-        state = WorldState()
-        eoa = state.create_eoa()
-        fat = state.create_contract((0,), initial_storage={i: 1 for i in range(100)})
-        state.discard_journal()
-        model = MigrationModel()
-        move_eoa = model.cost_of({eoa.address: 0}, {eoa.address: 1}, state, 2)
-        move_fat = model.cost_of({fat.address: 0}, {fat.address: 1}, state, 2)
-        # 100 slots x 64 bytes dwarf the ~40-byte account record (both
-        # sides carry the fixed per-vertex envelope overhead)
-        assert move_fat.bytes_moved > 30 * move_eoa.bytes_moved
-
-    def test_no_moves_no_cost(self):
-        state = WorldState()
-        eoa = state.create_eoa()
-        state.discard_journal()
-        cost = MigrationModel().cost_of({eoa.address: 0}, {eoa.address: 0}, state, 2)
-        assert cost.vertices_moved == 0
-        assert cost.total_transfer_time == 0.0
