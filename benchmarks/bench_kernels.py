@@ -80,9 +80,8 @@ def _micro_loops(clog: ColumnarLog):
 
     with kernels.using_backend("pure"):
         kp = kernels.active()
-        batch = kp.window_pass(ts, src, dst, tx, sk, dk, 0, n, StreamState())
         state = StreamState()
-        state.record_new_edges(batch.new_edges)
+        batch = kp.window_pass(src, dst, tx, 0, n, state)
         xadj, adjncy, adjwgt, vwgt, _ = kp.csr_from_window(src, dst, 0, n, "unit")
     graph = CSRGraph(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt)
     part = [shard[v] for v in range(graph.num_vertices)]
@@ -101,7 +100,7 @@ def _micro_loops(clog: ColumnarLog):
     kr = kernels.active  # resolved inside each lambda: current backend
     return {
         "window_pass": lambda: kr().window_pass(
-            ts, src, dst, tx, sk, dk, 0, n, StreamState()),
+            src, dst, tx, 0, n, StreamState()),
         "account_window": lambda: kr().account_window(
             src, dst, 0, n, batch.new_edges, shard, k),
         "static_cut_count": lambda: kr().static_cut_count(

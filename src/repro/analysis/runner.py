@@ -55,8 +55,7 @@ class ExperimentRunner:
     ):
         """Args:
             jobs: worker processes for uncached grid cells (1 =
-                in-process single-pass streaming; the default keeps
-                full ReplayResults available to :meth:`replay`).
+                in-process single-pass streaming).
             store: optional on-disk :class:`ResultStore` so replays
                 resume across runner instances and processes.
             source: replay a trace file (path or
@@ -178,14 +177,7 @@ class ExperimentRunner:
             )
             for key in missing:
                 self._cells[key] = rs.cell(key)
-                replay = rs.replay(key)
-                if replay is not None:
-                    self._replays[key] = replay
-        out = ResultSet(spec, {key: self._cells[key] for key in spec.cells()})
-        out._live = {
-            key: self._replays[key] for key in spec.cells() if key in self._replays
-        }
-        return out
+        return ResultSet(spec, {key: self._cells[key] for key in spec.cells()})
 
     def results_for(
         self,
@@ -211,17 +203,14 @@ class ExperimentRunner:
 
         ``method_kwargs`` are part of the cache key (via the method's
         :class:`MethodSpec`), so parameterised replays are memoised
-        like everything else.  Returns the full legacy
-        :class:`ReplayResult`; its ``graph`` is the shared cumulative
-        graph when the cell was computed in-process, else ``None``
-        (cells loaded from a store or computed by worker processes).
+        like everything else.  Returns the legacy
+        :class:`ReplayResult` rebuilt from the cell (its ``graph`` is
+        ``None``).
         """
         key = self._cell_key(method_name, k, seed, **method_kwargs)
         if key not in self._replays:
             self.run(self.spec((key.method,), (k,), (seed,)))
-            if key not in self._replays:
-                # loaded from the store / a worker: rebuild (no graph)
-                self._replays[key] = self._cells[key].to_replay_result()
+            self._replays[key] = self._cells[key].to_replay_result()
         return self._replays[key]
 
     def replay_many(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -28,6 +29,7 @@ from repro.core.placement import place_by_min_cut
 from repro.graph.builder import Interaction, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
+from repro.kernels import StreamState
 
 
 @dataclasses.dataclass
@@ -39,12 +41,13 @@ class ReplayContext:
         k: number of shards.
         assignment: the live assignment (methods must not mutate it;
             they return proposed mappings instead).
-        graph: the cumulative blockchain graph up to ``now``.
+        graph: the cumulative blockchain graph of rows
+            ``[0, log_hi)`` (built on first access).
         window_interactions: interactions of the window just processed.
         period_interactions: interactions since the last repartitioning
             (the R-METIS / TR-METIS / KL input).
-        period_graph: graph of ``period_interactions`` (built lazily by
-            the engine on first access within a window).
+        period_graph: graph of ``period_interactions`` (built on first
+            access).
         last_repartition_ts: when the last repartitioning happened
             (genesis if never).
         window_dynamic_edge_cut: dynamic edge-cut of the window just
@@ -58,16 +61,20 @@ class ReplayContext:
             read its columns directly instead of rebuilding graphs from
             ``graph`` / ``period_interactions``.
         log_hi: rows ``[0, log_hi)`` of ``columnar_log`` are exactly
-            the interactions replayed so far (the cumulative graph).
+            the interactions replayed so far.
         log_period_start: first row of the current repartition period;
             rows ``[log_period_start, log_hi)`` are
             ``period_interactions``.
+        stream: the engine's :class:`~repro.kernels.StreamState`, the
+            dense cumulative graph cold METIS partitions.  The engine
+            keeps growing it, so it describes rows ``[0, log_hi)`` only
+            during the ``maybe_repartition`` call this context is
+            passed to; ``graph`` stays valid after it.
     """
 
     now: float
     k: int
     assignment: ShardAssignment
-    graph: WeightedDiGraph
     window_interactions: Sequence[Interaction]
     period_interactions: Sequence[Interaction]
     last_repartition_ts: float
@@ -77,20 +84,21 @@ class ReplayContext:
     columnar_log: ColumnarLog
     log_hi: int
     log_period_start: int
-    _period_graph_cache: Optional[WeightedDiGraph] = None
+    stream: StreamState
 
-    @property
+    @functools.cached_property
+    def graph(self) -> WeightedDiGraph:
+        """Cumulative graph of the rows replayed so far, aggregated by
+        the batch kernels from rows ``[0, log_hi)`` of ``columnar_log``."""
+        return build_graph_columnar(self.columnar_log, 0, self.log_hi)
+
+    @functools.cached_property
     def period_graph(self) -> WeightedDiGraph:
-        """Reduced graph of interactions since the last repartitioning.
-
-        Aggregated by the batch kernels from rows
-        ``[log_period_start, log_hi)`` of ``columnar_log`` (no per-row
-        Interaction boxing).
-        """
-        if self._period_graph_cache is None:
-            self._period_graph_cache = build_graph_columnar(
-                self.columnar_log, self.log_period_start, self.log_hi)
-        return self._period_graph_cache
+        """Reduced graph of interactions since the last repartitioning,
+        aggregated by the batch kernels from rows
+        ``[log_period_start, log_hi)`` of ``columnar_log``."""
+        return build_graph_columnar(
+            self.columnar_log, self.log_period_start, self.log_hi)
 
     @property
     def elapsed_since_repartition(self) -> float:

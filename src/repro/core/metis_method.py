@@ -13,6 +13,10 @@ objectives to minimize the number of vertices that change shard"), so
 raw move counts are huge; we deliberately do **not** align shard labels
 between runs, to reproduce that behaviour honestly.
 
+A cold run partitions the replay's stream state — the dense cumulative
+graph the engine folds each window into — collapsed to CSR by
+:meth:`~repro.metis.graph.CSRGraph.from_stream`.
+
 Warm mode (``warm=True``, off by default) is this reproduction's
 incremental extension: the cumulative graph is accumulated
 incrementally from the dense indices of the
@@ -34,7 +38,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.core.base import PartitionMethod, ReplayContext
 from repro.graph.snapshot import REPARTITION_PERIOD
-from repro.metis import ColumnarCSRBuilder, LadderCache, part_graph
+from repro.metis import ColumnarCSRBuilder, CSRGraph, LadderCache, part_graph
 
 
 class MetisPartitioner(PartitionMethod):
@@ -84,11 +88,11 @@ class MetisPartitioner(PartitionMethod):
             return None
         if self.warm:
             return self._repartition_warm(ctx)
-        if ctx.graph.num_vertices < self.k:
+        if ctx.stream.num_vertices < self.k:
             return None
         self._run += 1
         result = part_graph(
-            ctx.graph,
+            CSRGraph.from_stream(ctx.stream, ctx.columnar_log.vertex_id),
             self.k,
             seed=self.seed * 10_007 + self._run,
             ubfactor=self.ubfactor,

@@ -3,9 +3,9 @@
 Every figure and benchmark that compares partitioning methods replays
 the *same* interaction log once per method.  All of that work except
 the method's own decisions is identical across runs: the window
-slicing, the transaction grouping, the cumulative
-:class:`~repro.graph.digraph.WeightedDiGraph` and the distinct-edge
-detection do not depend on the method at all.
+slicing, the transaction grouping and the stream state — the dense
+cumulative graph (first-seen vertices, activity, distinct edges and
+their counts) — do not depend on the method at all.
 
 :class:`MultiReplayEngine` streams the log exactly once and maintains
 the shared state a single time, fanning out only the per-method parts:
@@ -20,9 +20,13 @@ the shared state a single time, fanning out only the per-method parts:
 For deterministic (seeded) methods the results are bit-identical to N
 independent :class:`~repro.core.replay.ReplayEngine` runs — the single
 engine is in fact implemented as a one-method fan-out, so there is
-only one streaming loop in the codebase.  The shared cumulative graph
-is built once and the *same* object is referenced by every
-:class:`~repro.core.replay.ReplayResult`; treat it as read-only.
+only one streaming loop in the codebase.  The
+:class:`~repro.kernels.StreamState` is the replay's only cumulative
+graph: cold METIS partitions its CSR collapse, moves carry its
+activity weights, and the dict-of-dicts
+:class:`~repro.graph.digraph.WeightedDiGraph` of ``ctx.graph`` and
+:attr:`ReplayResult.graph <repro.core.replay.ReplayResult.graph>` is
+built from the replayed rows only when something reads it.
 
 The engine interns its input once: a plain ``Sequence[Interaction]``
 becomes a :class:`~repro.graph.columnar.ColumnarLog` in ``__init__``,
@@ -49,13 +53,10 @@ from repro.core.assignment import ShardAssignment
 from repro.core.base import PartitionMethod, RepartitionEvent, ReplayContext
 from repro.core.replay import ReplayResult, apply_proposal
 from repro.graph.builder import Interaction
-from repro.graph.columnar import _KIND_LIST, ColumnarLog
-from repro.graph.digraph import VertexKind, WeightedDiGraph
+from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import METRIC_WINDOW
-from repro.kernels import PACK_MASK, PACK_SHIFT, StreamState
+from repro.kernels import StreamState
 from repro.metrics.series import MetricPoint, MetricSeries
-
-_CONTRACT = VertexKind.CONTRACT
 
 
 class _LogView(Sequence):
@@ -120,14 +121,15 @@ class _MethodState:
         # vertex with dense index i) — the accounting kernels' input
         self.shard_arr = array("i")
 
-    def result(self, graph: WeightedDiGraph) -> ReplayResult:
+    def result(self, log: ColumnarLog, log_hi: int) -> ReplayResult:
         return ReplayResult(
             method=self.method.name,
             k=self.k,
             series=self.series,
             assignment=self.assignment,
             events=self.events,
-            graph=graph,
+            log=log,
+            log_hi=log_hi,
         )
 
 
@@ -181,25 +183,17 @@ class MultiReplayEngine:
         end_ts = self.end_ts
 
         # batch-kernel inputs: the raw dense columns and the shared
-        # stream state (max streamed vertex, distinct-edge set)
+        # stream state (the dense cumulative graph)
         kr = kernels.active()
         stream = StreamState()
-        ts_col = log.timestamps()
         src_col = log.src_indices()
         dst_col = log.dst_indices()
         tx_col = log.tx_ids()
-        sk_col = log.src_kind_codes()
-        dk_col = log.dst_kind_codes()
         vertex_id = log.vertex_id
 
-        graph = WeightedDiGraph()
-        add_vertex = graph.add_vertex
-        add_edge = graph.add_edge
-        add_vertex_weight = graph.add_vertex_weight
         for m in self.methods:
             m.begin_replay()
         states = [_MethodState(m, self._first_ts) for m in self.methods]
-        distinct_edges = 0
 
         idx = 0
         window_start = self._first_ts if n_log else 0.0
@@ -209,31 +203,20 @@ class MultiReplayEngine:
             lo = idx
             idx = max(log.index_at(window_end), lo)
 
-            # shared pass: one kernel call bucketises the window
-            # (first-seen vertices per transaction, edge/vertex weight
-            # folds, never-seen-before edges), then the cumulative graph
-            # grows in bulk — vertex and adjacency insertion orders are
-            # identical to the per-row legacy loop (the kernel contract,
-            # see docs/kernels.md)
-            batch = kr.window_pass(
-                ts_col, src_col, dst_col, tx_col, sk_col, dk_col,
-                lo, idx, stream)
-            new_pairs: List = []
-            for dense, kind_code, first_ts in batch.first_seen:
-                raw = vertex_id(dense)
-                new_pairs.append((dense, raw))
-                add_vertex(raw, _KIND_LIST[kind_code], 0, first_ts)
-            for dense in batch.upgrades:
-                add_vertex(vertex_id(dense), _CONTRACT)
-            for packed, weight in batch.edge_weights.items():
-                add_edge(vertex_id(packed >> PACK_SHIFT),
-                         vertex_id(packed & PACK_MASK), weight)
-            for dense, delta in batch.vertex_weights.items():
-                add_vertex_weight(vertex_id(dense), delta)
+            # shared pass: one kernel call folds the window into the
+            # stream state (first-seen vertices, activity, distinct
+            # edges and their counts) and bucketises it for placement;
+            # first-seen dense ids are contiguous, so the window's new
+            # vertices are the ones past the previous maximum
+            n_seen = stream.num_vertices
+            batch = kr.window_pass(src_col, dst_col, tx_col, lo, idx, stream)
+            new_pairs = [
+                (dense, vertex_id(dense))
+                for dense in range(n_seen, stream.num_vertices)
+            ]
             # static cut counts distinct *directed* edges, per the
             # paper's directed-graph formulation
-            distinct_edges += len(batch.new_edges)
-            stream.record_new_edges(batch.new_edges)
+            distinct_edges = stream.num_edges
 
             # placement inputs, shared across methods: the raw endpoint
             # appearance list of each transaction bucket that introduced
@@ -290,7 +273,6 @@ class MultiReplayEngine:
                     now=window_end,
                     k=k,
                     assignment=assignment,
-                    graph=graph,
                     window_interactions=window_view,
                     period_interactions=_LogView(log, st.period_start, idx),
                     last_repartition_ts=st.last_repartition_ts,
@@ -300,16 +282,17 @@ class MultiReplayEngine:
                     columnar_log=log,
                     log_hi=idx,
                     log_period_start=st.period_start,
+                    stream=stream,
                 )
                 proposal = method.maybe_repartition(ctx)
                 if proposal is not None:
-                    moves = apply_proposal(proposal, assignment, graph)
+                    index_of = log._index()
+                    moves = apply_proposal(
+                        proposal, assignment, stream.activity, index_of)
                     st.total_moves += moves
                     # resync the dense mirror for moved vertices, then
-                    # recount the static cut over the accumulated
-                    # distinct-edge arrays (identical to walking the
-                    # graph's edges: they are the same edge set)
-                    index_of = log._index()
+                    # recount the static cut over the stream's
+                    # distinct-edge arrays
                     n_streamed = len(shard_arr)
                     for raw in proposal:
                         dense = index_of.get(raw)
@@ -344,7 +327,7 @@ class MultiReplayEngine:
 
             window_start = window_end
 
-        return [st.result(graph) for st in states]
+        return [st.result(log, idx) for st in states]
 
 
 def replay_methods(

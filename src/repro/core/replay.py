@@ -7,8 +7,10 @@ file), maintains the live shard assignment, and per metric window
 
 1. groups the window's interactions by transaction and places
    newly-appearing vertices via the method's placement rule;
-2. incrementally maintains the cumulative graph and the static-metric
-   counters, and accumulates per-window dynamic-metric counters;
+2. folds the window into the stream state (the dense cumulative
+   graph: vertices, activity, distinct edges and their counts) and the
+   static-metric counters, and accumulates per-window dynamic-metric
+   counters;
 3. records a :class:`~repro.metrics.series.MetricPoint`;
 4. offers the method a chance to repartition; if it does, applies the
    proposal, counts the moves and resets the period buffer.
@@ -26,11 +28,13 @@ facade.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Mapping, Optional, Sequence
 
 from repro.core.assignment import ShardAssignment
 from repro.core.base import PartitionMethod, RepartitionEvent
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph_columnar
+from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
 from repro.graph.snapshot import METRIC_WINDOW
 from repro.metrics.series import MetricSeries
@@ -40,13 +44,10 @@ from repro.metrics.series import MetricSeries
 class ReplayResult:
     """Everything a replay produced.
 
-    ``graph`` is the cumulative blockchain graph at the end of the
-    replay.  Results fanned out of one
-    :class:`~repro.core.multireplay.MultiReplayEngine` pass all
-    reference the *same* graph object (it is built once by design), so
-    treat it as read-only — derive from it with
-    :meth:`~repro.graph.digraph.WeightedDiGraph.copy` or
-    ``subgraph`` before mutating.
+    ``graph`` is the cumulative blockchain graph of the replayed rows
+    ``[0, log_hi)`` of ``log``, built on first access (each result
+    builds its own).  It is ``None`` for a result rebuilt from a
+    :class:`~repro.experiments.results.CellResult`, which has no log.
     """
 
     method: str
@@ -54,7 +55,15 @@ class ReplayResult:
     series: MetricSeries
     assignment: ShardAssignment
     events: List[RepartitionEvent]
-    graph: WeightedDiGraph
+    log: Optional[ColumnarLog] = dataclasses.field(
+        default=None, repr=False, compare=False)
+    log_hi: int = 0
+
+    @functools.cached_property
+    def graph(self) -> Optional[WeightedDiGraph]:
+        if self.log is None:
+            return None
+        return build_graph_columnar(self.log, 0, self.log_hi)
 
     @property
     def total_moves(self) -> int:
@@ -68,10 +77,17 @@ class ReplayResult:
 def apply_proposal(
     proposal: Mapping[int, int],
     assignment: ShardAssignment,
-    graph: WeightedDiGraph,
+    activity: Sequence[int],
+    index_of: Mapping[int, int],
 ) -> int:
-    """Apply a repartition proposal; returns the move count."""
+    """Apply a repartition proposal; returns the move count.
+
+    A moved vertex carries its activity weight to the new shard:
+    ``activity[index_of[v]]`` for a streamed vertex (the stream
+    state's activity over dense indices), 0 for one not streamed yet.
+    """
     moves = 0
+    streamed = len(activity)
     for v, shard in proposal.items():
         current = assignment.shard_of(v)
         if current is None:
@@ -80,7 +96,9 @@ def apply_proposal(
             assignment.assign(v, shard)
             continue
         if current != shard:
-            assignment.move(v, shard, weight=graph.vertex_weight(v) if v in graph else 0)
+            dense = index_of.get(v)
+            weight = activity[dense] if dense is not None and dense < streamed else 0
+            assignment.move(v, shard, weight=weight)
             moves += 1
     return moves
 

@@ -11,6 +11,10 @@ and far fewer moves ("because they use a smaller graph").
 The paper's Figs. 4–5 label this method **P-METIS** (periodic METIS on
 the reduced graph); the registry accepts both names.
 
+A cold run partitions the period's graph with unit vertex weights,
+collapsed to CSR by :func:`~repro.metis.graph.period_csr` straight from
+the log's rows (no ``WeightedDiGraph``).
+
 Warm mode (``warm=True``, off by default): the reduced window graph is
 built straight from the dense index columns of the replay's
 :class:`~repro.graph.columnar.ColumnarLog`
@@ -35,6 +39,7 @@ from typing import Mapping, Optional
 from repro.core.base import PartitionMethod, ReplayContext
 from repro.graph.snapshot import REPARTITION_PERIOD
 from repro.metis import CSRGraph, part_graph
+from repro.metis.graph import period_csr
 
 
 class RMetisPartitioner(PartitionMethod):
@@ -70,7 +75,7 @@ class RMetisPartitioner(PartitionMethod):
         """Partition the window graph; shared with TR-METIS."""
         if self.warm:
             return self._partition_window_warm(ctx)
-        window = ctx.period_graph
+        window = period_csr(ctx.columnar_log, ctx.log_period_start, ctx.log_hi)
         if window.num_vertices < self.k:
             return None
         self._run += 1

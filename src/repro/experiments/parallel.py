@@ -1,13 +1,14 @@
 """Process-pool fan-out for independent experiment grid cells.
 
 The single-pass :class:`~repro.core.multireplay.MultiReplayEngine`
-already shares the log stream and cumulative graph across every method
-in one process.  For multi-core sweeps, the grid's cells are split
-into ``jobs`` balanced chunks and each chunk replays in its own worker
-process — one shared stream *per worker*.  Cells are independent by
-construction (each method instance carries its own RNG and state), so
-the fan-out is bit-identical to the sequential pass; only the amount
-of shared-graph rebuilding changes (once per worker instead of once).
+already shares the log stream and its stream state (the dense
+cumulative graph) across every method in one process.  For multi-core
+sweeps, the grid's cells are split into ``jobs`` balanced chunks and
+each chunk replays in its own worker process — one shared stream *per
+worker*.  Cells are independent by construction (each method instance
+carries its own RNG and state), so the fan-out is bit-identical to the
+sequential pass; only the amount of shared streaming changes (once per
+worker instead of once).
 
 The ``log`` handle every entry point takes is either an in-memory log
 (shared with ``fork`` workers via copy-on-write, exactly as before) or
@@ -84,9 +85,10 @@ def replay_chunk(
 
     ``log`` may be an interaction log or a :class:`LogSource`, which
     the worker resolves here — for a trace source, by mmap-ing the
-    file in its own address space.  Also used inline as the sequential
-    fallback, so the parallel and sequential paths execute literally
-    the same code.  When ``execution`` is given, each cell's final
+    file in its own address space.  ``run_experiment`` with ``jobs=1``
+    and the pool's inline fallback call it too, so the parallel and
+    sequential paths execute literally the same code.  When
+    ``execution`` is given, each cell's final
     assignment additionally replays through the sharded executor and
     the report lands in ``cell.execution``.
     """

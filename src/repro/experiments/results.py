@@ -4,7 +4,7 @@ A :class:`CellResult` is the durable projection of one replay: the
 metric series, the repartition events, the final vertex → shard map and
 the per-shard activity weights — everything the figures, the sharded
 simulator and the paper's tables consume, without the cumulative graph
-(which is shared, large, and reproducible from the workload).
+(which is large and rebuilt from the log on demand).
 
 A :class:`ResultSet` maps a grid of
 :class:`~repro.experiments.spec.CellKey` cells to their results, knows
@@ -144,20 +144,15 @@ class CellResult:
             shard_weights=tuple(replay.assignment.weights),
         )
 
-    def to_replay_result(self, graph=None) -> ReplayResult:
-        """Back-compat bridge to the legacy result type.
-
-        ``graph`` is ``None`` unless the caller still holds the shared
-        cumulative graph (cells loaded from disk or computed in a
-        worker process do not).
-        """
+    def to_replay_result(self) -> ReplayResult:
+        """Back-compat bridge to the legacy result type (a cell has no
+        log, so the result's ``graph`` is ``None``)."""
         return ReplayResult(
             method=self.key.method.name,
             k=self.key.k,
             series=self.series,
             assignment=self.to_assignment(),
             events=list(self.events),
-            graph=graph,
         )
 
     @functools.cached_property
@@ -240,9 +235,7 @@ class ResultSet:
     """Results of an experiment, keyed by (method spec, k, seed).
 
     Iteration yields :class:`CellResult` objects in the spec's grid
-    order.  Equality compares the spec and every cell (the in-memory
-    ``ReplayResult`` handles attached by a same-process run are
-    excluded — they do not survive serialization by design).
+    order.  Equality compares the spec and every cell.
     """
 
     def __init__(self, spec: ExperimentSpec, cells: Dict[CellKey, CellResult]):
@@ -251,9 +244,6 @@ class ResultSet:
         # preserve any extra cells (merged sets) after the spec's grid
         order += [k for k in cells if k not in set(order)]
         self._cells: Dict[CellKey, CellResult] = {k: cells[k] for k in order}
-        #: full ReplayResults (with the shared graph) for cells computed
-        #: in this process; absent for loaded/worker-computed cells.
-        self._live: Dict[CellKey, ReplayResult] = {}
 
     # -- mapping surface -----------------------------------------------
 
@@ -288,10 +278,6 @@ class ResultSet:
 
     def cell(self, key: CellKey) -> CellResult:
         return self._cells[key]
-
-    def replay(self, key: CellKey) -> Optional[ReplayResult]:
-        """The full in-process ReplayResult for a cell, if available."""
-        return self._live.get(key)
 
     # -- equality / serialization --------------------------------------
 
@@ -335,6 +321,4 @@ class ResultSet:
         """New set with ``other``'s cells added (other wins on clash)."""
         merged = dict(self._cells)
         merged.update(other._cells)
-        rs = ResultSet(self.spec, merged)
-        rs._live = {**self._live, **other._live}
-        return rs
+        return ResultSet(self.spec, merged)

@@ -13,7 +13,8 @@ Execution plan:
 2. load completed cells from the ``store`` — a resumed sweep
    re-executes *zero* finished cells;
 3. replay the remaining cells: one shared
-   :class:`~repro.core.multireplay.MultiReplayEngine` pass when
+   :class:`~repro.core.multireplay.MultiReplayEngine` pass
+   (:func:`~repro.experiments.parallel.replay_chunk`, inline) when
    ``jobs<=1``, else cost-balanced chunks over a process pool
    (:mod:`repro.experiments.parallel`), each chunk sharing one stream;
 4. persist fresh cells to the store and return a
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, Optional, Sequence, Union
 
-from repro.core.replay import ReplayResult
 from repro.ethereum.workload import WorkloadResult, generate_history
 from repro.experiments.parallel import partition_cells, replay_chunk, run_chunks_parallel
 from repro.experiments.results import CellResult, ResultSet
@@ -117,7 +117,6 @@ def run_experiment(
                     progress(key, "loaded")
     pending = [k for k in cells if k not in done]
 
-    live: Dict[CellKey, ReplayResult] = {}
     if pending:
         if callable(log):
             log = log()
@@ -125,8 +124,8 @@ def run_experiment(
             handle = log
         elif spec.is_trace_sourced:
             # the source itself is the handle: the sequential path
-            # loads it once below; the parallel path pickles it to the
-            # workers, which open the mmap independently
+            # loads it once in replay_chunk; the parallel path pickles
+            # it to the workers, which open the mmap independently
             handle = spec.source
         else:
             if callable(workload):
@@ -149,25 +148,8 @@ def run_experiment(
                 progress(cell.key, "computed")
 
         if jobs == 1 or len(pending) == 1:
-            # one shared stream for the whole remaining grid; keep the
-            # full ReplayResults (with the shared cumulative graph) for
-            # same-process callers like the back-compat runner facade
-            from repro.core.multireplay import MultiReplayEngine
-            from repro.experiments.source import LogSource
-
-            shared = handle.load() if isinstance(handle, LogSource) else handle
-            methods = [key.method.make(key.k, seed=key.seed) for key in pending]
-            engine = MultiReplayEngine(shared, methods, metric_window=window)
-            replays = engine.run()
-            fresh = []
-            for key, replay in zip(pending, replays):
-                live[key] = replay
-                fresh.append(CellResult.from_replay(key, replay))
-            if spec.execution is not None:
-                from repro.experiments.execution import attach_execution
-
-                fresh = attach_execution(engine.log, fresh, spec.execution)
-            for cell in fresh:
+            # one shared stream for the whole remaining grid
+            for cell in replay_chunk(handle, window, pending, spec.execution):
                 collect(cell)
         else:
             # cells persist chunk-by-chunk as workers finish, so an
@@ -179,9 +161,7 @@ def run_experiment(
                 execution=spec.execution,
             )
 
-    rs = ResultSet(spec, done)
-    rs._live = live
-    return rs
+    return ResultSet(spec, done)
 
 
 # re-exported convenience: one-call sequential chunk replay (used by

@@ -109,15 +109,14 @@ class UndirectedView:
 
 def collapse_to_undirected(
     digraph: WeightedDiGraph,
-    min_vertex_weight: int = 1,
     unit_vertex_weights: bool = False,
 ) -> UndirectedView:
     """Collapse a directed blockchain graph to its undirected view.
 
-    ``min_vertex_weight`` floors vertex weights (default 1) so that
-    vertices that never initiated or received activity still count for
-    balance purposes, matching METIS's convention that unweighted
-    vertices have weight 1.
+    Vertex weights are activity floored at 1, so that vertices that
+    never initiated or received activity still count for balance
+    purposes, matching METIS's convention that unweighted vertices
+    have weight 1.
 
     ``unit_vertex_weights`` sets every vertex weight to 1 — this is the
     paper's METIS setup ("assigning weights to the **edges** of the
@@ -130,7 +129,7 @@ def collapse_to_undirected(
         if unit_vertex_weights:
             und._add_vertex(v, 1)
         else:
-            und._add_vertex(v, max(min_vertex_weight, digraph.vertex_weight(v)))
+            und._add_vertex(v, max(1, digraph.vertex_weight(v)))
     for src, dst, w in digraph.edges():
         if dst in und._adj[src]:
             # the reverse edge was already merged when we saw dst → src

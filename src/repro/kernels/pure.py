@@ -4,9 +4,10 @@ Every function here is a straight per-row / per-edge transliteration of
 the loop it replaced, kept deliberately simple: no bulk counting, no
 slicing tricks.  ``__all__`` is the kernel surface every backend
 exposes by name.  The numpy backend's own forms must reproduce these
-outputs *exactly* (including dict key order, which the cumulative
-graph's adjacency insertion order and therefore cold METIS results
-depend on); ``tests/kernels/test_parity.py`` holds them to it.
+outputs *exactly* (including every order: the stream state's edge
+order and ``graph_batch``'s dict key order fix the CSR adjacency order
+that cold METIS results depend on); ``tests/kernels/test_parity.py``
+holds them to it.
 """
 
 from __future__ import annotations
@@ -31,17 +32,22 @@ CONTRACT_CODE = 1
 # replay stream
 
 
-def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
+def window_pass(src, dst, tx, lo: int, hi: int,
                 state: StreamState) -> WindowBatch:
-    """Shared per-window pass: first-seens, edge/vertex counts, new edges."""
-    edge_seen = state.edge_seen
-    contract_known = state.contract_known
+    """Shared per-window pass: fold rows [lo, hi) into the stream state.
+
+    ``state`` must hold rows [0, lo).  The pass grows it by the
+    window's first-seen vertices, activity and edge counts, and returns
+    the window's new distinct edges and the transaction buckets that
+    introduced first-seen vertices.
+    """
+    activity = state.activity
+    edge_index = state.edge_index
+    esrc = state.esrc
+    edst = state.edst
+    ecount = state.ecount
     cur_max = state.max_vertex
 
-    first_seen: List[Tuple[int, int, float]] = []
-    upgrades: List[int] = []
-    edge_weights: Dict[int, int] = {}
-    vertex_weights: Dict[int, int] = {}
     new_edges: List[int] = []
     placement_groups: List[Tuple[int, int, Tuple[int, ...]]] = []
 
@@ -62,48 +68,54 @@ def window_pass(ts, src, dst, tx, skind, dkind, lo: int, hi: int,
             bucket_lo = i
             bucket_tx = t
 
+        # first appearances are dense-contiguous: a new index is always
+        # the next one
         if s > cur_max:
             cur_max = s
-            first_seen.append((s, skind[i], ts[i]))
+            activity.append(0)
             bucket_new.append(s)
-            if skind[i] == CONTRACT_CODE:
-                contract_known.add(s)
-        elif skind[i] == CONTRACT_CODE and s not in contract_known:
-            contract_known.add(s)
-            upgrades.append(s)
+        activity[s] += 1
+        if d == s:
+            continue
         if d > cur_max:
             cur_max = d
-            first_seen.append((d, dkind[i], ts[i]))
+            activity.append(0)
             bucket_new.append(d)
-            if dkind[i] == CONTRACT_CODE:
-                contract_known.add(d)
-        elif dkind[i] == CONTRACT_CODE and d not in contract_known:
-            contract_known.add(d)
-            upgrades.append(d)
+        activity[d] += 1
 
         p = (s << PACK_SHIFT) | d
-        edge_weights[p] = edge_weights.get(p, 0) + 1
-        vertex_weights[s] = vertex_weights.get(s, 0) + 1
-        if d != s:
-            vertex_weights[d] = vertex_weights.get(d, 0) + 1
-        if p not in edge_seen:
-            edge_seen.add(p)
-            if d != s:
-                new_edges.append(p)
+        e = edge_index.get(p)
+        if e is None:
+            edge_index[p] = len(ecount)
+            esrc.append(s)
+            edst.append(d)
+            ecount.append(1)
+            new_edges.append(p)
+        else:
+            ecount[e] += 1
 
     if bucket_new:
         placement_groups.append((bucket_lo, hi, tuple(bucket_new)))
     state.max_vertex = cur_max
-    return WindowBatch(first_seen, upgrades, edge_weights, vertex_weights,
-                       new_edges, placement_groups)
+    return WindowBatch(new_edges, placement_groups)
 
 
 def graph_batch(ts, src, dst, skind, dkind, lo: int, hi: int):
     """Aggregate rows [lo, hi) for a standalone window digraph.
 
-    The stateless sibling of :func:`window_pass` (fresh graph, no
-    cross-window memory): returns ``(first_seen, upgrades,
-    edge_weights, vertex_weights)`` with the same order conventions.
+    Returns ``(first_seen, upgrades, edge_weights, vertex_weights)``:
+
+    * ``first_seen``: ``(dense, kind_code, timestamp)`` per vertex
+      making its first appearance in the range, in appearance order
+      (src before dst within a row);
+    * ``upgrades``: dense indices of already-seen vertices observed
+      with a CONTRACT kind code for the first time, in row order;
+    * ``edge_weights``: packed directed edge -> interaction count, keys
+      in first-occurrence order (a digraph's successor order, and so
+      the CSR adjacency order, depends on it);
+    * ``vertex_weights``: dense index -> activity (src counts every
+      row, dst only when distinct from src); its order is not part of
+      the contract.
     """
     seen: set = set()
     contracts: set = set()

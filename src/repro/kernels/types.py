@@ -13,7 +13,8 @@ from typing import Dict, List, Tuple
 
 #: dense vertex indices fit 32 bits; a directed edge packs into one
 #: int64 key as ``(src << 32) | dst`` — the unit of edge identity for
-#: the seen-set, the per-window edge Counter and the CSR accumulators.
+#: the stream's edge index, ``graph_batch``'s edge counts and the CSR
+#: accumulators.
 PACK_SHIFT = 32
 PACK_MASK = 0xFFFFFFFF
 
@@ -21,35 +22,41 @@ PACK_MASK = 0xFFFFFFFF
 class StreamState:
     """Cross-window replay-stream state owned by the engine.
 
-    Tracks what has been streamed so far in dense-index space: the
-    highest dense vertex index seen (interning is in first-appearance
-    order, so ``index > max_vertex`` *is* the first-appearance test),
-    the set of distinct directed edges, the flat endpoint arrays of
-    those edges (the static-cut recount input) and which vertices are
-    already known to be contracts (so kind upgrades are emitted at most
-    once per vertex).
+    The cumulative graph of the rows streamed so far, in dense-index
+    space — the replay's only one:
+
+    * ``max_vertex``: the highest dense vertex index seen.  Interning
+      is in first-appearance order, so ``index > max_vertex`` *is* the
+      first-appearance test and the streamed vertices are exactly
+      ``0..max_vertex``.
+    * ``activity[v]``: the activity weight of dense vertex ``v`` (src
+      counts every row, dst only when distinct from src).
+    * ``esrc``/``edst``/``ecount``: the distinct directed non-self
+      edges in first-occurrence order, and each one's interaction
+      count.  The flat endpoint arrays are also the static-cut recount
+      input.
+    * ``edge_index``: packed ``(src << 32) | dst`` -> position of the
+      edge in those arrays.
     """
 
-    __slots__ = ("max_vertex", "edge_seen", "esrc", "edst", "contract_known")
+    __slots__ = ("max_vertex", "activity", "edge_index", "esrc", "edst",
+                 "ecount")
 
     def __init__(self) -> None:
         self.max_vertex = -1
-        self.edge_seen: set = set()
+        self.activity: List[int] = []
+        self.edge_index: Dict[int, int] = {}
         self.esrc = array("q")
         self.edst = array("q")
-        self.contract_known: set = set()
+        self.ecount: List[int] = []
+
+    @property
+    def num_vertices(self) -> int:
+        return self.max_vertex + 1
 
     @property
     def num_edges(self) -> int:
         return len(self.esrc)
-
-    def record_new_edges(self, packed: List[int]) -> None:
-        """Fold a window's new distinct non-self edges into the flat arrays."""
-        esrc = self.esrc
-        edst = self.edst
-        for p in packed:
-            esrc.append(p >> PACK_SHIFT)
-            edst.append(p & PACK_MASK)
 
 
 class GainBuckets:
@@ -107,20 +114,13 @@ class GainBuckets:
 
 
 class WindowBatch:
-    """Everything one shared window pass precomputes for the engine.
+    """What one shared window pass hands the engine besides the state.
+
+    The pass folds the window's vertices, activity and edge counts into
+    the :class:`StreamState`; the batch carries only the per-window
+    inputs of the method fan-out.
 
     Attributes:
-        first_seen: ``(dense, kind_code, timestamp)`` per vertex making
-            its first log appearance in the window, in appearance order
-            (src before dst within a row).
-        upgrades: dense indices of already-known vertices observed with
-            a CONTRACT kind code for the first time (graph kind
-            upgrade), in row order.
-        edge_weights: packed directed edge -> interaction count for the
-            window, keys in first-occurrence order (the cumulative
-            graph's adjacency insertion order depends on it).
-        vertex_weights: dense index -> activity increment (src counts
-            every row, dst only when distinct from src).
         new_edges: packed distinct non-self directed edges first seen in
             this window, in first-occurrence order.  Accounting derives
             its static-cut delta from these directly: the shard map is
@@ -130,27 +130,16 @@ class WindowBatch:
         placement_groups: ``(row_lo, row_hi, new_dense)`` per
             transaction bucket that introduced at least one first-seen
             vertex; ``new_dense`` lists those vertices in appearance
-            order.  Buckets without new vertices never reach the
-            placement loop at all.
+            order (src before dst within a row).  Buckets without new
+            vertices never reach the placement loop at all.
     """
 
-    __slots__ = (
-        "first_seen", "upgrades", "edge_weights", "vertex_weights",
-        "new_edges", "placement_groups",
-    )
+    __slots__ = ("new_edges", "placement_groups")
 
     def __init__(
         self,
-        first_seen: List[Tuple[int, int, float]],
-        upgrades: List[int],
-        edge_weights: Dict[int, int],
-        vertex_weights: Dict[int, int],
         new_edges: List[int],
         placement_groups: List[Tuple[int, int, Tuple[int, ...]]],
     ) -> None:
-        self.first_seen = first_seen
-        self.upgrades = upgrades
-        self.edge_weights = edge_weights
-        self.vertex_weights = vertex_weights
         self.new_edges = new_edges
         self.placement_groups = placement_groups

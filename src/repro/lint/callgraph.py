@@ -182,6 +182,10 @@ class ModuleSummary:
     relpath: str
     modname: str
     is_package: bool
+    #: every ``import`` binding of the file: local name -> module
+    aliases: Dict[str, str] = dataclasses.field(default_factory=dict)
+    #: every from-import binding of the file: local name -> (module, name)
+    from_names: Dict[str, Tuple[str, str]] = dataclasses.field(default_factory=dict)
     #: top-level from-import bindings: local name -> absolute dotted
     exports: Dict[str, str] = dataclasses.field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = dataclasses.field(default_factory=dict)
@@ -486,7 +490,8 @@ def build_summary(relpath: str, tree: ast.Module) -> ModuleSummary:
     """Distil one parsed file into its :class:`ModuleSummary`."""
     ctx = _ModuleContext(relpath, tree)
     summary = ModuleSummary(
-        relpath=relpath, modname=ctx.modname, is_package=ctx.is_package
+        relpath=relpath, modname=ctx.modname, is_package=ctx.is_package,
+        aliases=ctx.aliases, from_names=ctx.from_names,
     )
     for stmt in tree.body:
         if isinstance(stmt, ast.ImportFrom):

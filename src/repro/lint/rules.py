@@ -35,6 +35,7 @@ from typing import (
     Type,
 )
 
+from repro.lint.callgraph import _dotted
 from repro.lint.engine import (
     SEVERITY_ADVICE,
     SEVERITY_ERROR,
@@ -136,36 +137,6 @@ class Rule:
 # shared AST helpers
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_aliases(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, Tuple[str, str]]]:
-    """(module aliases, from-import aliases) of a file.
-
-    ``import random as rnd`` -> ``{"rnd": "random"}``;
-    ``from random import randint as ri`` -> ``{"ri": ("random", "randint")}``.
-    """
-    modules: Dict[str, str] = {}
-    names: Dict[str, Tuple[str, str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                modules[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                names[alias.asname or alias.name] = (node.module, alias.name)
-    return modules, names
-
-
 def _resolved_call_name(
     node: ast.Call,
     modules: Dict[str, str],
@@ -236,7 +207,7 @@ class UnseededRandom(Rule):
     _ALLOWED = frozenset({"Random"})
 
     def check_module(self, module: Module) -> Iterator[Finding]:
-        modules, names = _import_aliases(module.tree)
+        modules, names = module.summary.aliases, module.summary.from_names
         random_aliases = {a for a, m in modules.items() if m == "random"}
         rng_names = self._rng_instance_names(module.tree, modules, names)
         for node in ast.walk(module.tree):
@@ -484,7 +455,7 @@ class WallClock(Rule):
         return module.in_dirs(*self._SCOPES)
 
     def check_module(self, module: Module) -> Iterator[Finding]:
-        modules, names = _import_aliases(module.tree)
+        modules, names = module.summary.aliases, module.summary.from_names
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

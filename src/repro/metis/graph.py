@@ -9,13 +9,19 @@ every edge many times and dict-of-dict graphs are too slow for that.
 bridges from the domain-level :class:`~repro.graph.undirected.UndirectedView`
 and keeps the original-vertex-id mapping.
 
-Two ColumnarLog bridges skip the ``WeightedDiGraph`` →
-``collapse_to_undirected`` → CSR rebuild entirely, reading the log's
-dense vertex indices straight into CSR arrays:
+One directed → undirected collapse loop (:func:`_collapse`) serves
+:meth:`CSRGraph.from_digraph`, :meth:`CSRGraph.from_graph_batch` (the
+KL period graph, and the cold P-METIS/R-METIS/TR-METIS one via
+:func:`period_csr`) and :meth:`CSRGraph.from_stream` (the replay's
+stream state, the cumulative graph cold METIS partitions).
+
+The warm paths read the log's dense vertex indices straight into CSR
+arrays, each adjacency in the order its pairs first occur in either
+direction:
 
 * :meth:`CSRGraph.from_columnar` builds the undirected interaction
-  graph of any row range ``[start, stop)`` in one pass — the R-METIS /
-  TR-METIS reduced-window input;
+  graph of any row range ``[start, stop)`` in one pass — the warm
+  R-METIS / TR-METIS reduced-window input;
 * :class:`ColumnarCSRBuilder` maintains the *cumulative* graph
   incrementally: each :meth:`~ColumnarCSRBuilder.advance` call folds in
   only the rows appended since the previous call, so periodic
@@ -113,51 +119,23 @@ class CSRGraph:
         return cls(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt, orig_ids=orig_ids)
 
     @classmethod
-    def from_digraph(
-        cls,
-        digraph,
-        min_vertex_weight: int = 1,
-        unit_vertex_weights: bool = False,
-    ) -> "CSRGraph":
-        """Collapse a ``WeightedDiGraph`` straight to CSR in one pass.
-
-        Fuses ``collapse_to_undirected`` + :meth:`from_undirected`
-        without materialising the intermediate ``UndirectedView`` or
-        re-walking it.  Every observable order is preserved exactly:
-        vertices are renumbered in ``digraph.vertices()`` order, each
-        adjacency keeps first-encounter order over ``digraph.edges()``,
-        and reverse-direction weights merge on the first encounter of a
-        pair — bit-identical CSR arrays to the two-step pipeline (the
-        KL repartitioner depends on this for its tie-breaks).
-        """
-        index: Dict[int, int] = {}
-        orig_ids: List[int] = []
-        vwgt: List[int] = []
-        for v in digraph.vertices():
-            index[v] = len(orig_ids)
-            orig_ids.append(v)
-            vwgt.append(
-                1 if unit_vertex_weights
-                else max(min_vertex_weight, digraph.vertex_weight(v)))
-        n = len(orig_ids)
-        adj: List[Dict[int, int]] = [{} for _ in range(n)]
-        for src, dst, w in digraph.edges():
-            if src == dst:
-                continue  # self-loops never cross shards; the collapse drops them
-            si, di = index[src], index[dst]
-            if di in adj[si]:
-                # the reverse edge was already merged when we saw dst → src
-                continue
-            total = w + digraph.successors(dst).get(src, 0)
-            adj[si][di] = total
-            adj[di][si] = total
-        xadj: List[int] = [0] * (n + 1)
-        adjncy: List[int] = []
-        adjwgt: List[int] = []
-        for i in range(n):
-            adjncy.extend(adj[i])
-            adjwgt.extend(adj[i].values())
-            xadj[i + 1] = len(adjncy)
+    def from_digraph(cls, digraph, unit_vertex_weights: bool = False) -> "CSRGraph":
+        """Collapse a ``WeightedDiGraph`` straight to CSR, renumbering
+        vertices in ``digraph.vertices()`` order; vertex weights are
+        activity floored at 1, or all 1 with ``unit_vertex_weights``.
+        The KL repartitioner's tie-breaks depend on the adjacency order
+        :func:`_collapse` keeps."""
+        orig_ids = list(digraph.vertices())
+        index = {v: i for i, v in enumerate(orig_ids)}
+        if unit_vertex_weights:
+            vwgt = [1] * len(orig_ids)
+        else:
+            vwgt = [max(1, digraph.vertex_weight(v)) for v in orig_ids]
+        succ = [
+            {index[d]: w for d, w in digraph.successors(v).items()}
+            for v in orig_ids
+        ]
+        xadj, adjncy, adjwgt = _collapse(succ)
         return cls(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt, orig_ids=orig_ids)
 
     @classmethod
@@ -167,51 +145,50 @@ class CSRGraph:
         edge_weights,
         vertex_weights,
         vertex_id,
-        min_vertex_weight: int = 1,
     ) -> "CSRGraph":
         """Collapse one ``graph_batch`` aggregate straight to CSR.
 
         Equivalent to ``build_graph_columnar`` → :meth:`from_digraph`
         without materialising the ``WeightedDiGraph``: ``first_seen``
-        fixes the vertex order (the digraph's ``add_vertex`` order),
+        fixes the vertex order (the digraph's ``add_vertex`` order) and
         ``edge_weights``'s packed-pair first-occurrence order fixes
-        each successor order (the ``add_edge`` order), and the collapse
-        then merges reverse pairs / drops self-loops exactly as
-        :meth:`from_digraph` does — bit-identical CSR arrays, at a
-        fraction of the inserts (and hashing *dense* log indices
-        instead of raw vertex ids).  ``vertex_id`` maps dense indices
-        to the raw ids recorded in ``orig_ids``.
+        each successor order (the ``add_edge`` order).  Vertex weights
+        are ``vertex_weights`` (dense index -> activity) floored at 1,
+        so an empty mapping gives unit weights.  ``vertex_id`` maps
+        dense indices to the raw ids recorded in ``orig_ids``.
         """
-        n = len(first_seen)
         index: Dict[int, int] = {}
         orig_ids: List[int] = []
         vwgt: List[int] = []
         for r, (dense, _kind, _ts) in enumerate(first_seen):
             index[dense] = r
             orig_ids.append(vertex_id(dense))
-            vwgt.append(max(min_vertex_weight, vertex_weights.get(dense, 0)))
-        succ: List[Dict[int, int]] = [{} for _ in range(n)]
+            vwgt.append(max(1, vertex_weights.get(dense, 0)))
+        succ: List[Dict[int, int]] = [{} for _ in range(len(orig_ids))]
         shift, mask = kernels.PACK_SHIFT, kernels.PACK_MASK
         for packed, w in edge_weights.items():
             succ[index[packed >> shift]][index[packed & mask]] = w
-        adj: List[Dict[int, int]] = [{} for _ in range(n)]
-        for si in range(n):
-            for di, w in succ[si].items():
-                if si == di:
-                    continue  # self-loops never cross shards
-                if di in adj[si]:
-                    continue  # reverse pair already merged
-                total = w + succ[di].get(si, 0)
-                adj[si][di] = total
-                adj[di][si] = total
-        xadj: List[int] = [0] * (n + 1)
-        adjncy: List[int] = []
-        adjwgt: List[int] = []
-        for i in range(n):
-            adjncy.extend(adj[i])
-            adjwgt.extend(adj[i].values())
-            xadj[i + 1] = len(adjncy)
+        xadj, adjncy, adjwgt = _collapse(succ)
         return cls(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt, orig_ids=orig_ids)
+
+    @classmethod
+    def from_stream(cls, state: "kernels.StreamState", vertex_id) -> "CSRGraph":
+        """Collapse a replay's stream state, with unit vertex weights.
+
+        The cold METIS input, in O(V + E): the digraph of the streamed
+        rows has the dense indices as its vertices, in order, and each
+        successor order is the first-occurrence order the state keeps
+        its edges in.  ``vertex_id`` maps dense indices to raw ids.
+        """
+        n = state.num_vertices
+        succ: List[Dict[int, int]] = [{} for _ in range(n)]
+        for s, d, w in zip(state.esrc, state.edst, state.ecount):
+            succ[s][d] = w
+        xadj, adjncy, adjwgt = _collapse(succ)
+        return cls(
+            xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=[1] * n,
+            orig_ids=[vertex_id(v) for v in range(n)],
+        )
 
     @classmethod
     def from_columnar(
@@ -299,6 +276,51 @@ class CSRGraph:
     def part_weights(self, part: Sequence[int], k: int) -> List[int]:
         """Vertex-weight sum per part."""
         return kernels.active().part_weights(self, part, k)
+
+
+def _collapse(succ: List[Dict[int, int]]) -> Tuple[List[int], List[int], List[int]]:
+    """The one directed → undirected collapse, to ``(xadj, adjncy, adjwgt)``.
+
+    ``succ[s]`` maps each successor ``d`` of vertex ``s`` to the weight
+    of ``s → d``, in first-occurrence order.  Visiting vertices in
+    order, the first encounter of a pair merges both directions'
+    weights into one undirected edge; self-loops are dropped (a
+    self-call never crosses shards).  Equal to
+    ``collapse_to_undirected`` + :meth:`CSRGraph.from_undirected`.
+    """
+    n = len(succ)
+    adj: List[Dict[int, int]] = [{} for _ in range(n)]
+    for s in range(n):
+        adj_s = adj[s]
+        for d, w in succ[s].items():
+            if d == s or d in adj_s:
+                continue  # a self-loop, or merged when d was visited
+            total = w + succ[d].get(s, 0)
+            adj_s[d] = total
+            adj[d][s] = total
+    xadj: List[int] = [0] * (n + 1)
+    adjncy: List[int] = []
+    adjwgt: List[int] = []
+    for v in range(n):
+        adjncy.extend(adj[v])
+        adjwgt.extend(adj[v].values())
+        xadj[v + 1] = len(adjncy)
+    return xadj, adjncy, adjwgt
+
+
+def period_csr(log: "ColumnarLog", start: int, stop: int) -> CSRGraph:
+    """CSR of the digraph of log rows ``[start, stop)``, with unit vertex
+    weights: the period graph cold P-METIS/R-METIS/TR-METIS partition.
+
+    Equal to ``CSRGraph.from_digraph(build_graph_columnar(log, start,
+    stop), unit_vertex_weights=True)`` without the digraph, through the
+    ``graph_batch`` → :meth:`CSRGraph.from_graph_batch` bridge KL uses.
+    """
+    first_seen, _upgrades, edge_weights, _activity = kernels.active().graph_batch(
+        log.timestamps(), log.src_indices(), log.dst_indices(),
+        log.src_kind_codes(), log.dst_kind_codes(), start, stop)
+    # no activity: every vertex weight floors to 1
+    return CSRGraph.from_graph_batch(first_seen, edge_weights, {}, log.vertex_id)
 
 
 class ColumnarCSRBuilder:

@@ -312,7 +312,7 @@ class ShardedExecution:
         hi: Optional[int] = None,
         time_scale: float = 0.0,
         arrival_rate: Optional[float] = None,
-        strict: Optional[bool] = None,
+        strict: bool = True,
     ) -> ThroughputReport:
         """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog` batched.
 
@@ -323,7 +323,7 @@ class ShardedExecution:
         report bit-identical to :meth:`replay` on the boxed equivalent
         of the same slice.
 
-        ``strict`` defaults to True: a replay of the log a partition
+        ``strict`` (the default): a replay of the log a partition
         was computed from must not touch unpartitioned vertices
         (:class:`UnassignedVertexError` names the offender).  Pass
         ``strict=False`` to count them in ``unassigned_endpoints``
@@ -339,8 +339,6 @@ class ShardedExecution:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         if arrival_rate is not None and not arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        if strict is None:
-            strict = True
         run_columnar(self, log, lo, hi, time_scale, arrival_rate, strict)
         return self.report()
 

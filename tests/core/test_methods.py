@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import kernels
 from repro.core.assignment import ShardAssignment
 from repro.core.base import ReplayContext
 from repro.core.hashing import HashPartitioner
@@ -15,6 +16,7 @@ from repro.core.trmetis import TRMetisPartitioner
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import DAY, REPARTITION_PERIOD
+from repro.kernels import StreamState
 
 
 def make_ctx(
@@ -27,28 +29,30 @@ def make_ctx(
     assignment=None,
 ):
     """Build a ReplayContext from a raw interaction list, over a
-    ColumnarLog of it as the replay engine would stream."""
-    from repro.graph.builder import build_graph
-
-    graph = build_graph(interactions)
+    ColumnarLog of it and its stream state as the replay engine would
+    stream them."""
+    log = ColumnarLog(interactions)
+    stream = StreamState()
+    kernels.active().window_pass(
+        log.src_indices(), log.dst_indices(), log.tx_ids(), 0, len(log), stream)
     if assignment is None:
         assignment = ShardAssignment(method.k)
-        for i, v in enumerate(sorted(graph.vertices())):
+        for i, v in enumerate(sorted(log.vertex_ids())):
             assignment.assign(v, i % method.k)
     return ReplayContext(
         now=now,
         k=method.k,
         assignment=assignment,
-        graph=graph,
         window_interactions=list(interactions),
         period_interactions=list(interactions),
         last_repartition_ts=last_repartition,
         window_dynamic_edge_cut=window_cut,
         window_dynamic_balance=window_balance,
         rng=method.rng,
-        columnar_log=ColumnarLog(interactions),
-        log_hi=len(interactions),
+        columnar_log=log,
+        log_hi=len(log),
         log_period_start=0,
+        stream=stream,
     )
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.base import PartitionMethod
 from repro.core.hashing import HashPartitioner
+from repro.core.multireplay import MultiReplayEngine
 from repro.core.replay import ReplayEngine, replay_method
-from repro.graph.builder import Interaction
+from repro.graph.builder import Interaction, build_graph
 from repro.graph.snapshot import DAY, HOUR
 
 
@@ -269,6 +270,49 @@ class TestContext:
         replay_method(log, Spy(2), metric_window=10.0)
         assert set(seen[1]) == {1, 2, 3}
         assert set(seen[3]) == {1, 2, 3}
+
+
+class ContextKeeper(StaticMethod):  # reprolint: disable=RL008 -- test-local fixture method, never spec-reachable
+    """Keeps every context it is offered, past its window."""
+
+    name = "keeper-test"
+
+    def __init__(self, k, seed=0):
+        super().__init__(k, seed)
+        self.contexts = []
+
+    def maybe_repartition(self, ctx):
+        self.contexts.append(ctx)
+        return None
+
+
+def _graph_tuple(graph):
+    return (
+        [(v, graph.vertex_weight(v)) for v in graph.vertices()],
+        list(graph.edges()),
+    )
+
+
+class TestDerivedGraphs:
+    def test_context_kept_past_its_window_reports_its_rows(self):
+        """``ctx.graph`` is the graph of rows [0, log_hi), even when read
+        after the replay has streamed further windows."""
+        log = log_of([(1, 2), (2, 3), (1, 2), (4, 5), (5, 1)], step=1.0)
+        method = ContextKeeper(2)
+        replay_method(log, method, metric_window=2.0)
+        his = [ctx.log_hi for ctx in method.contexts]
+        assert his == [2, 4, 5]
+        for ctx in method.contexts:
+            assert _graph_tuple(ctx.graph) == \
+                _graph_tuple(build_graph(log[:ctx.log_hi]))
+
+    def test_result_graph_of_early_stop_covers_replayed_rows(self):
+        log = log_of([(1, 2), (3, 4), (5, 6), (7, 8)], step=1.0)
+        result = MultiReplayEngine(
+            log, [StaticMethod(2)], metric_window=1.0, end_ts=2.0).run()[0]
+        assert len(result.series) == 2
+        assert _graph_tuple(result.graph) == _graph_tuple(build_graph(log[:2]))
+        assert set(result.graph.vertices()) == {1, 2, 3, 4}
 
 
 class TestHashReplayInvariants:

@@ -81,6 +81,29 @@ def test_moves_accounting_consistent(log, k, seed):
     assert (cums[-1] if cums else 0) == result.total_moves
 
 
+class ForesightMethod(ChaoticMethod):  # reprolint: disable=RL008 -- property-test stressor, never spec-reachable
+    """Like :class:`ChaoticMethod`, but proposes over every vertex of the
+    log, so proposals also pre-place vertices not streamed yet."""
+
+    name = "foresight"
+
+    def maybe_repartition(self, ctx):
+        vertices = sorted(ctx.columnar_log.vertex_ids())
+        picked = self.rng.sample(vertices, k=max(1, len(vertices) // 2))
+        return {v: self.rng.randrange(self.k) for v in picked}
+
+
+@given(interaction_logs(), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0, max_value=5), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_moves_carry_stream_activity(log, k, seed, foresight):
+    """Every move carries the vertex's activity so far (0 before it is
+    streamed), so shard weights stay each shard's summed activity."""
+    method = (ForesightMethod if foresight else ChaoticMethod)(k, seed=seed)
+    result = replay_method(log, method, metric_window=3.0)
+    result.assignment.validate(result.graph)
+
+
 @given(interaction_logs(), st.integers(min_value=2, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_replay_graph_equals_direct_build(log, k):

@@ -73,6 +73,32 @@ class TestBitIdentity:
         assert par3 == paper_rs
 
 
+class TestOneCumulativeGraph:
+    def test_sweep_constructs_no_weighted_digraph(self, tiny_workload, monkeypatch):
+        """A sweep of every registered method builds no dict graph: the
+        replay's stream state is its only cumulative graph."""
+        from repro.core.registry import available_methods
+        from repro.graph.digraph import WeightedDiGraph
+
+        built = []
+        init = WeightedDiGraph.__init__
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(WeightedDiGraph, "__init__", counting_init)
+        methods = tuple(available_methods())
+        assert len(methods) == 7
+        spec = ExperimentSpec(
+            scale="tiny", workload_seed=42, methods=methods, ks=(2,),
+            window_hours=24.0, execution="mode=2pc",
+        )
+        rs = run_experiment(spec, workload=tiny_workload)
+        assert len(rs) == 7
+        assert built == []
+
+
 class TestRunPlanning:
     def test_only_restricts_cells(self, paper_spec, tiny_workload):
         key = CellKey(MethodSpec.parse("hash"), 2, 1)

@@ -4,13 +4,13 @@ The pure-python backend is the oracle — a straight transliteration of
 the per-row loops the kernels replaced.  The numpy backend's own forms
 (its ``ACCELERATED`` kernels; every other name is the pure object
 itself, see ``test_backend.py``) must reproduce its outputs *exactly*,
-including dict key order where the contract guarantees one (edge
-first-occurrence order feeds the cumulative graph's adjacency
-insertion order, which cold METIS results depend on).  Logs are
-arbitrary: self-loops, repeated edges, contract upgrades, empty
-windows and single-vertex (pure self-loop) streams all appear in the
-strategy.  Where numpy does not import, ``BACKENDS`` is empty and the
-parametrised cases skip.
+including every order the contract guarantees (the stream state's
+edge first-occurrence order fixes the CSR adjacency order cold METIS
+results depend on).  The CSR bridges are held to the boxed digraph
+pipeline they replaced.  Logs are arbitrary: self-loops, repeated
+edges, contract upgrades, empty windows and single-vertex (pure
+self-loop) streams all appear in the strategy.  Where numpy does not
+import, ``BACKENDS`` is empty and the parametrised cases skip.
 """
 
 import random
@@ -23,8 +23,9 @@ from repro import kernels
 from repro.graph.builder import Interaction, build_graph, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import VertexKind
+from repro.graph.undirected import collapse_to_undirected
 from repro.kernels import StreamState
-from repro.metis.graph import CSRGraph
+from repro.metis.graph import CSRGraph, period_csr
 
 BACKENDS = [b for b in kernels.available_backends() if b != "pure"]
 
@@ -71,37 +72,37 @@ def _splits(log, cuts):
 
 
 def _batch_tuple(batch):
-    # vertex_weights order is NOT part of the contract (consumers look
-    # weights up by key); everything else is compared order-sensitively
+    return batch.new_edges, batch.placement_groups
+
+
+def _state_tuple(state):
+    """Every field of a StreamState, orders included."""
     return (
-        batch.first_seen,
-        batch.upgrades,
-        list(batch.edge_weights.items()),
-        dict(batch.vertex_weights),
-        batch.new_edges,
-        batch.placement_groups,
+        state.max_vertex,
+        list(state.activity),
+        list(state.edge_index.items()),
+        list(state.esrc),
+        list(state.edst),
+        list(state.ecount),
     )
+
+
+def _stream_cols(log):
+    return log.src_indices(), log.dst_indices(), log.tx_ids()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(log=columnar_logs(), cuts=st.lists(st.floats(0, 1), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_window_pass_parity(backend, log, cuts):
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     ref_state, got_state = StreamState(), StreamState()
     for lo, hi in _splits(log, cuts):
         ref = _pure().window_pass(*cols, lo, hi, ref_state)
         with kernels.using_backend(backend):
             got = kernels.active().window_pass(*cols, lo, hi, got_state)
         assert _batch_tuple(got) == _batch_tuple(ref)
-        assert got_state.max_vertex == ref_state.max_vertex
-        assert got_state.edge_seen == ref_state.edge_seen
-        assert got_state.contract_known == ref_state.contract_known
-        ref_state.record_new_edges(ref.new_edges)
-        got_state.record_new_edges(got.new_edges)
-    assert list(got_state.esrc) == list(ref_state.esrc)
-    assert list(got_state.edst) == list(ref_state.edst)
+        assert _state_tuple(got_state) == _state_tuple(ref_state)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -110,14 +111,12 @@ def test_window_pass_parity(backend, log, cuts):
 @settings(max_examples=60, deadline=None)
 def test_account_window_and_static_cut_parity(backend, log, cuts, k, seed):
     src, dst = log.src_indices(), log.dst_indices()
-    cols = (log.timestamps(), src, dst, log.tx_ids(),
-            log.src_kind_codes(), log.dst_kind_codes())
+    cols = _stream_cols(log)
     rng = random.Random(seed)
     shard = [rng.randrange(k) for _ in range(log.num_vertices)]
     state = StreamState()
     for lo, hi in _splits(log, cuts):
         batch = _pure().window_pass(*cols, lo, hi, state)
-        state.record_new_edges(batch.new_edges)
         ref = _pure().account_window(src, dst, lo, hi, batch.new_edges, shard, k)
         ref_cut = _pure().static_cut_count(state.esrc, state.edst, shard)
         with kernels.using_backend(backend):
@@ -208,6 +207,46 @@ def test_graph_batch_csr_bridge_matches_from_digraph(log, cuts):
         for field in ("xadj", "adjncy", "adjwgt", "vwgt", "orig_ids"):
             assert getattr(got, field) == getattr(ref, field), field
         assert _digraph_tuple(period) == _digraph_tuple(build_graph(log[lo:hi]))
+
+
+_CSR_FIELDS = ("xadj", "adjncy", "adjwgt", "vwgt", "orig_ids")
+
+
+def _reference_csr(rows, unit):
+    """The reference pipeline: boxed digraph -> undirected view -> CSR."""
+    return CSRGraph.from_undirected(
+        collapse_to_undirected(build_graph(rows), unit_vertex_weights=unit))
+
+
+@given(log=columnar_logs(), cuts=st.lists(st.floats(0, 1), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_stream_state_is_the_cumulative_graph(log, cuts):
+    """After the windows of rows [0, hi), the stream state collapses to
+    the CSR cold METIS used to partition (the cumulative digraph of
+    those rows, collapsed with unit weights), and its activity is each
+    vertex's weight in that digraph."""
+    state = StreamState()
+    for lo, hi in _splits(log, cuts):
+        kernels.active().window_pass(*_stream_cols(log), lo, hi, state)
+        got = CSRGraph.from_stream(state, log.vertex_id)
+        ref = _reference_csr(log[:hi], unit=True)
+        for field in _CSR_FIELDS:
+            assert getattr(got, field) == getattr(ref, field), field
+        graph = build_graph(log[:hi])
+        assert state.activity == [
+            graph.vertex_weight(log.vertex_id(d)) for d in range(state.num_vertices)]
+
+
+@given(log=columnar_logs(), cuts=st.lists(st.floats(0, 1), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_period_csr_matches_digraph_pipeline(log, cuts):
+    """Cold P-METIS/R-METIS/TR-METIS partition ``period_csr``: the same
+    CSR as collapsing the rows' boxed digraph with unit weights."""
+    for lo, hi in _splits(log, cuts):
+        got = period_csr(log, lo, hi)
+        ref = _reference_csr(log[lo:hi], unit=True)
+        for field in _CSR_FIELDS:
+            assert getattr(got, field) == getattr(ref, field), field
 
 
 # ----------------------------------------------------------------------
@@ -373,12 +412,12 @@ def test_gain_buckets_match_lazy_deletion_heap(ops):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_window_is_empty_everywhere(backend):
     log = ColumnarLog([Interaction(timestamp=0.0, src=7, dst=9, tx_id=0)])
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
     with kernels.using_backend(backend):
         kr = kernels.active()
-        batch = kr.window_pass(*cols, 1, 1, StreamState())
-        assert _batch_tuple(batch) == ([], [], [], {}, [], [])
+        state = StreamState()
+        batch = kr.window_pass(*_stream_cols(log), 1, 1, state)
+        assert _batch_tuple(batch) == ([], [])
+        assert _state_tuple(state) == _state_tuple(StreamState())
         assert kr.max_index(log.src_indices(), log.dst_indices(), 1, 1) == -1
         assert kr.account_window(log.src_indices(), log.dst_indices(),
                                  1, 1, (), [0, 0], 2) == \
@@ -395,15 +434,18 @@ def test_single_vertex_self_loop_stream(backend):
         Interaction(timestamp=float(i), src=5, dst=5, tx_id=i)
         for i in range(4)
     )
-    cols = (log.timestamps(), log.src_indices(), log.dst_indices(),
-            log.tx_ids(), log.src_kind_codes(), log.dst_kind_codes())
-    ref = _pure().window_pass(*cols, 0, 4, StreamState())
+    ref_state = StreamState()
+    ref = _pure().window_pass(*_stream_cols(log), 0, 4, ref_state)
     with kernels.using_backend(backend):
         kr = kernels.active()
-        got = kr.window_pass(*cols, 0, 4, StreamState())
+        got_state = StreamState()
+        got = kr.window_pass(*_stream_cols(log), 0, 4, got_state)
         assert _batch_tuple(got) == _batch_tuple(ref)
+        assert _state_tuple(got_state) == _state_tuple(ref_state)
         assert got.new_edges == []
-        assert got.first_seen == [(0, 0, 0.0)]
+        assert got.placement_groups == [(0, 1, (0,))]
+        assert got_state.activity == [4]
+        assert got_state.num_edges == 0
         assert kr.csr_from_window(log.src_indices(), log.dst_indices(),
                                   0, 4, "activity") == \
             _pure().csr_from_window(log.src_indices(), log.dst_indices(),
