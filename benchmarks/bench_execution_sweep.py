@@ -7,11 +7,13 @@ Two measurements in one artifact:
   ``run_experiment`` — committed-transaction throughput next to the
   dynamic edge cut that supposedly predicts it, for 2PC and
   state-migration handling;
-* the *engine gate*: the columnar replay path
+* the *engine gate*: the columnar engine
   (:meth:`~repro.sharding.coordinator.ShardedExecution.replay_columnar`,
-  batched off the trace's dense index columns) must beat the boxed
-  per-Interaction path by >= 2x on the same rows and assignment while
-  producing a bit-identical :class:`ThroughputReport`.
+  batched off the trace's dense index columns) must beat the closure
+  oracle it replaced (``tests/sharding/closure_engine.py``, one
+  closure per event over the boxed ``Interaction`` rows) by >= 2x on
+  the same rows and assignment while producing a bit-identical
+  :class:`ThroughputReport`.
 
 Artifact: ``benchmarks/out/execution_sweep.txt``.
 """
@@ -31,6 +33,7 @@ from repro.experiments import ExperimentSpec, run_experiment
 from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
+from tests.sharding.closure_engine import ClosureExecution
 
 SWEEP_METHODS = ("hash", "fennel", "metis")
 SWEEP_KS = (2, 4, 8)
@@ -71,7 +74,7 @@ def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
         sections.append(f"[{mode} sweep: {len(spec.cells())} cells, "
                         f"jobs=2, {elapsed:.1f}s]")
 
-    # -- engine gate: columnar vs boxed replay, same rows/assignment ----
+    # -- engine gate: columnar engine vs closure oracle, same rows ------
     k = 4
     assignment = dict(results["2pc"].get("metis", k).assignment)
     cfg = ShardedExecutionConfig()
@@ -79,7 +82,7 @@ def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
     boxed_rows = log.to_interactions()
 
     def run_boxed():
-        ex = ShardedExecution(k, dict(assignment), cfg)
+        ex = ClosureExecution(k, dict(assignment), cfg)
         return ex.replay(boxed_rows, arrival_rate=rate)
 
     def run_columnar():
@@ -93,19 +96,19 @@ def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
     sections.append(ascii_table(
         ["replay path", "rows", "time", "tx/s simulated"],
         [
-            ("boxed (Interaction list)", len(log), f"{t_boxed * 1e3:.1f}ms",
-             f"{rep_boxed.throughput:.0f}"),
+            ("closure oracle (Interaction list)", len(log),
+             f"{t_boxed * 1e3:.1f}ms", f"{rep_boxed.throughput:.0f}"),
             ("columnar (dense columns)", len(log), f"{t_cols * 1e3:.1f}ms",
              f"{rep_cols.throughput:.0f}"),
         ],
-        title=f"engine: boxed vs columnar replay, k={k} "
+        title=f"engine: closure oracle vs columnar replay, k={k} "
               f"(speedup {speedup:.2f}x, reports bit-identical)",
     ))
 
     write_artifact(out_dir, "execution_sweep.txt", "\n\n".join(sections))
 
     assert speedup >= 2.0, (
-        f"columnar replay only {speedup:.2f}x faster than boxed "
+        f"columnar replay only {speedup:.2f}x faster than the closure oracle "
         f"({t_cols * 1e3:.1f}ms vs {t_boxed * 1e3:.1f}ms)"
     )
     # partition quality must show up as execution outcome: the

@@ -13,6 +13,7 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import ascii_table
+from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 K = 4
@@ -20,7 +21,8 @@ K = 4
 
 @pytest.mark.benchmark(group="state-migration")
 def test_2pc_vs_migrate(benchmark, runner, out_dir):
-    log = runner.workload.builder.log[-8000:]
+    log = ColumnarLog(runner.workload.builder.log)
+    lo, hi = max(0, len(log) - 8000), len(log)  # the workload tail
     state = runner.workload.state
 
     def run_all():
@@ -31,7 +33,8 @@ def test_2pc_vs_migrate(benchmark, runner, out_dir):
                 cfg = ShardedExecutionConfig(mode=mode)
                 ex = ShardedExecution(K, assignment, cfg, state=state)
                 rate = 3.0 * K / cfg.service_time
-                out[(method, mode)] = ex.replay(log, arrival_rate=rate)
+                out[(method, mode)] = ex.replay_columnar(
+                    log, lo, hi, arrival_rate=rate)
         return out
 
     reports = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -13,7 +13,13 @@ commit across their shards.  A single-shard run is the baseline.
 Run:  python examples/sharding_study.py
 """
 
-from repro import WorkloadConfig, generate_history, make_method, replay_method
+from repro import (
+    ColumnarLog,
+    WorkloadConfig,
+    generate_history,
+    make_method,
+    replay_method,
+)
 from repro.graph.snapshot import HOUR
 from repro.sharding import ShardedExecution, ShardedExecutionConfig
 
@@ -23,13 +29,14 @@ K = 4
 def main() -> None:
     print("generating history...")
     history = generate_history(WorkloadConfig.small(seed=3))
-    log = history.builder.log[-15_000:]  # the busy tail of the history
+    log = ColumnarLog(history.builder.log)
+    lo, hi = max(0, len(log) - 15_000), len(log)  # the busy tail of the history
     cfg = ShardedExecutionConfig()
 
     # baseline: one shard executes everything locally
     everything_local = {v: 0 for v in history.graph.vertices()}
-    base = ShardedExecution(1, everything_local, cfg).replay(
-        log, arrival_rate=3.0 / cfg.service_time
+    base = ShardedExecution(1, everything_local, cfg).replay_columnar(
+        log, lo, hi, arrival_rate=3.0 / cfg.service_time
     )
     print(f"\n{'method':10s} {'tx/s':>8s} {'speedup':>8s} {'multi-shard':>12s} "
           f"{'p99 (ms)':>9s} {'util-imbal':>10s}")
@@ -41,7 +48,7 @@ def main() -> None:
         method = make_method(name, k=K, seed=1)
         replay = replay_method(history.builder.log, method, metric_window=24 * HOUR)
         ex = ShardedExecution(K, replay.assignment.as_dict(), cfg)
-        rep = ex.replay(log, arrival_rate=rate)
+        rep = ex.replay_columnar(log, lo, hi, arrival_rate=rate)
         speedup = rep.throughput / base.throughput
         print(f"{name:10s} {rep.throughput:8.0f} {speedup:7.2f}x "
               f"{rep.multi_shard_ratio:12.2f} {rep.latency.p99 * 1000:9.1f} "

@@ -126,10 +126,10 @@ class SimulationClockError(SimulationError):
 class UnassignedVertexError(SimulationError):
     """A replayed transaction touched a vertex with no shard assignment.
 
-    Raised only under ``strict`` replays (the default for trace-backed
-    columnar replays, where every endpoint must have been partitioned);
-    non-strict runs count the endpoint in
-    ``ThroughputReport.unassigned_endpoints`` instead.
+    Raised only under ``strict`` replays (the default of
+    ``ShardedExecution.replay_columnar``, and what experiment cells run:
+    every endpoint must have been partitioned); non-strict runs count
+    the endpoint in ``ThroughputReport.unassigned_endpoints`` instead.
     """
 
     def __init__(self, vertex: object):

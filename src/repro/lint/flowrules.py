@@ -56,7 +56,7 @@ class TransitiveDeterminismTaint(Rule):
         "three frames below a replay entry point corrupts results just "
         "as surely as a direct call; the call graph propagates the "
         "taint from MultiReplayEngine.run / part_graph / "
-        "ShardedExecution.replay* to every reachable function"
+        "ShardedExecution.replay_columnar to every reachable function"
     )
     example = "def _helper(): return time.time()  # called from run()"
 
@@ -64,7 +64,6 @@ class TransitiveDeterminismTaint(Rule):
     _ENTRY_PATTERNS = (
         "core.multireplay.MultiReplayEngine.run",
         "metis.api.part_graph",
-        "sharding.coordinator.ShardedExecution.replay",
         "sharding.coordinator.ShardedExecution.replay_columnar",
     )
 

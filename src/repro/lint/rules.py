@@ -1135,7 +1135,8 @@ class RowwiseInteraction(Rule):
         ("metis", "graph.py"),
         ("metis", "matching.py"),
         ("metis", "refine.py"),
-        # the boxed replay path; replay_columnar is the batch rewrite
+        # the execution engine reads the log's dense columns; a per-row
+        # Interaction loop there would undo that
         ("sharding", "coordinator.py"),
     )
     _ROW_ATTRS = frozenset(

@@ -119,18 +119,14 @@ class CSRGraph:
         return cls(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt, orig_ids=orig_ids)
 
     @classmethod
-    def from_digraph(cls, digraph, unit_vertex_weights: bool = False) -> "CSRGraph":
+    def from_digraph(cls, digraph) -> "CSRGraph":
         """Collapse a ``WeightedDiGraph`` straight to CSR, renumbering
         vertices in ``digraph.vertices()`` order; vertex weights are
-        activity floored at 1, or all 1 with ``unit_vertex_weights``.
-        The KL repartitioner's tie-breaks depend on the adjacency order
-        :func:`_collapse` keeps."""
+        activity floored at 1.  The KL repartitioner's tie-breaks depend
+        on the adjacency order :func:`_collapse` keeps."""
         orig_ids = list(digraph.vertices())
         index = {v: i for i, v in enumerate(orig_ids)}
-        if unit_vertex_weights:
-            vwgt = [1] * len(orig_ids)
-        else:
-            vwgt = [max(1, digraph.vertex_weight(v)) for v in orig_ids]
+        vwgt = [max(1, digraph.vertex_weight(v)) for v in orig_ids]
         succ = [
             {index[d]: w for d, w in digraph.successors(v).items()}
             for v in orig_ids
@@ -313,8 +309,11 @@ def period_csr(log: "ColumnarLog", start: int, stop: int) -> CSRGraph:
     weights: the period graph cold P-METIS/R-METIS/TR-METIS partition.
 
     Equal to ``CSRGraph.from_digraph(build_graph_columnar(log, start,
-    stop), unit_vertex_weights=True)`` without the digraph, through the
-    ``graph_batch`` → :meth:`CSRGraph.from_graph_batch` bridge KL uses.
+    stop))`` with every vertex weight set to 1, which is also what
+    ``collapse_to_undirected(..., unit_vertex_weights=True)`` →
+    :meth:`CSRGraph.from_undirected` gives; built without the digraph,
+    through the ``graph_batch`` → :meth:`CSRGraph.from_graph_batch`
+    bridge KL uses.
     """
     first_seen, _upgrades, edge_weights, _activity = kernels.active().graph_batch(
         log.timestamps(), log.src_indices(), log.dst_indices(),

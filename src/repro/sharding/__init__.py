@@ -12,22 +12,17 @@ distributed fashion" class of solutions (Spanner / S-SMR) the paper
 cites.  State migration after repartitionings occupies shards in
 proportion to the bytes moved.
 
-The EXT-PITFALL benchmark feeds the same transaction stream through
-assignments produced by each partitioning method and reports achieved
-throughput and latency — showing the edge-cut ↔ performance coupling.
+:meth:`ShardedExecution.replay_columnar` is the one execution engine:
+it replays rows of a :class:`~repro.graph.columnar.ColumnarLog` and
+returns a :class:`ThroughputReport`.  Experiment cells and the
+EXT-PITFALL benchmark feed it the assignments each partitioning method
+produced, showing the edge-cut ↔ performance coupling.
 """
 
-from repro.sharding.events import EventQueue, ScheduledEvent
-from repro.sharding.simulator import Simulator
-from repro.sharding.shard import Shard
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 from repro.sharding.throughput import LatencyStats, ThroughputReport
 
 __all__ = [
-    "EventQueue",
-    "ScheduledEvent",
-    "Simulator",
-    "Shard",
     "ShardedExecution",
     "ShardedExecutionConfig",
     "LatencyStats",

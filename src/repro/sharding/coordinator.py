@@ -18,22 +18,49 @@ solution classes (§I):
   live assignment is updated, so later transactions benefit — or pay
   again when access patterns ping-pong.
 
-The driver replays an interaction log: each transaction arrives at its
-(scaled) timestamp, its shard set is derived from a vertex → shard
-assignment, and the report aggregates throughput and latency.
+:meth:`ShardedExecution.replay_columnar` replays rows of a
+:class:`~repro.graph.columnar.ColumnarLog`: each transaction arrives at
+its (scaled) timestamp or at a fixed rate, its shard set is derived
+from a vertex → shard assignment, and the report aggregates throughput
+and latency.  The engine is a discrete-event simulation over one flat
+heap of ``(time, seq, kind, payload)`` events:
+
+* **Event order.**  Events fire in ``(time, seq)`` order, ``seq``
+  assigned when the event is scheduled.  Arrivals own seqs ``0..n-1``
+  (a sorted cursor, not heap entries) and runtime events count up from
+  ``n``, so an arrival fires before every runtime event at its time.
+* **Shards** are serial FIFO resources: a finishing job accrues its
+  busy time, runs its phase hook (which may enqueue more work, on the
+  same shard too), *then* the shard starts its next queued job.
+
+``tests/sharding/closure_engine.py`` keeps a closure-per-event
+simulator of the same cost model as the oracle this engine is checked
+against: reports must compare equal with ``==``, so both evaluate
+every float expression in the same order on the same values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, List, Mapping, Optional, Tuple
 
-from repro.errors import UnassignedVertexError
-from repro.graph.builder import Interaction, group_by_transaction
-from repro.sharding.batch import run_columnar
-from repro.sharding.shard import Shard
-from repro.sharding.simulator import Simulator
+from repro.errors import (
+    InvalidPartitionError,
+    SimulationClockError,
+    UnassignedVertexError,
+)
 from repro.sharding.throughput import LatencyStats, ThroughputReport
+
+# heap event kinds; payload is a shard id (_FINISH) or a tx state (_COMMITS)
+_FINISH = 0
+_COMMITS = 1
+
+# tx phases (list layout: [pending, phase, arrived_at, shards])
+_PH_PREPARE = 0
+_PH_COMMIT = 1
+_PH_MIGRATE = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,21 +100,54 @@ class ShardedExecutionConfig:
             )
 
 
-@dataclasses.dataclass
-class _TxState:
-    tx_id: int
-    shards: Tuple[int, ...]
-    arrived_at: float
-    pending: int = 0
-    phase: str = "prepare"
+def _transactions(
+    log: Any, lo: int, hi: int
+) -> Tuple[List[float], List[Tuple[int, ...]]]:
+    """Group rows ``[lo, hi)`` into transactions off the dense columns.
+
+    Returns parallel lists: first-row timestamp and deduplicated
+    endpoint tuple (dense indices in first-occurrence order over
+    ``src0, dst0, src1, dst1, ...``) per transaction.  Rows of one
+    transaction are assumed contiguous, exactly as
+    :func:`repro.graph.builder.group_by_transaction` assumes.
+    """
+    ts_col = log.timestamps()
+    src = log.src_indices()
+    dst = log.dst_indices()
+    txc = log.tx_ids()
+
+    times: List[float] = []
+    endpoints: List[Tuple[int, ...]] = []
+    a = lo
+    while a < hi:
+        tx = txc[a]
+        b = a + 1
+        while b < hi and txc[b] == tx:
+            b += 1
+        if b - a == 1:
+            s0 = src[a]
+            d0 = dst[a]
+            eps = (s0,) if s0 == d0 else (s0, d0)
+        else:
+            eps = tuple(
+                dict.fromkeys(
+                    x for j in range(a, b) for x in (src[j], dst[j])
+                )
+            )
+        times.append(ts_col[a])
+        endpoints.append(eps)
+        a = b
+    return times, endpoints
 
 
 class ShardedExecution:
     """Replays transactions against k shards under an assignment.
 
     In ``migrate`` mode the assignment is copied and mutated as state
-    moves happen; pass ``state`` (a :class:`WorldState`) to charge
-    per-vertex transfer times proportional to serialized account size.
+    moves happen (``self.assignment`` is the live map, and a later
+    replay starts from it); pass ``state`` (a :class:`WorldState`) to
+    charge per-vertex transfer times proportional to serialized account
+    size.
     """
 
     def __init__(
@@ -96,7 +156,6 @@ class ShardedExecution:
         assignment: Mapping[int, int],
         config: Optional[ShardedExecutionConfig] = None,
         state=None,
-        strict: bool = False,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -106,204 +165,6 @@ class ShardedExecution:
             dict(assignment) if self.config.mode == "migrate" else assignment
         )
         self.state = state
-        self.strict = strict
-        self.sim = Simulator()
-        self.shards = [Shard(i, self.sim) for i in range(k)]
-        self.latencies: List[float] = []
-        self.completed = 0
-        self.single_shard = 0
-        self.multi_shard = 0
-        self.migrations = 0
-        self.migration_bytes = 0
-        self.unassigned_endpoints = 0
-        self._last_completion = 0.0
-
-    # ------------------------------------------------------------------
-
-    def shard_set(self, endpoints: Iterable[int]) -> Tuple[int, ...]:
-        """Distinct shards hosting the endpoints (sorted for determinism).
-
-        Endpoints without an assignment are counted in
-        ``unassigned_endpoints`` (and raise under ``strict``) rather
-        than silently dropped.
-        """
-        shards: Set[int] = set()
-        for v in endpoints:
-            s = self.assignment.get(v)
-            if s is not None:
-                shards.add(s)
-            else:
-                self._note_unassigned(v)
-        return tuple(sorted(shards))
-
-    def _note_unassigned(self, vertex: int) -> None:
-        if self.strict:
-            raise UnassignedVertexError(vertex)
-        self.unassigned_endpoints += 1
-
-    def submit_endpoints(self, tx_id: int, endpoints: Sequence[int]) -> None:
-        """Inject one transaction described by its endpoint vertices.
-
-        Dispatches to 2PC or state-migration handling per the config;
-        in migrate mode the shard set is computed against the *live*
-        (mutated) assignment.
-        """
-        if self.config.mode == "migrate":
-            self._submit_migrating(tx_id, endpoints)
-        else:
-            self.submit_transaction(tx_id, self.shard_set(endpoints))
-
-    def submit_transaction(self, tx_id: int, shards: Tuple[int, ...]) -> None:
-        """Inject one 2PC-mode transaction at the current sim time."""
-        if not shards:
-            return
-        cfg = self.config
-        if len(shards) == 1:
-            self.single_shard += 1
-            state = _TxState(tx_id, shards, self.sim.now, pending=1, phase="commit")
-            self.shards[shards[0]].submit(
-                cfg.service_time, lambda st=state: self._phase_done(st)
-            )
-            return
-
-        self.multi_shard += 1
-        state = _TxState(tx_id, shards, self.sim.now, pending=len(shards), phase="prepare")
-        for s in shards:
-            self.shards[s].submit(
-                cfg.prepare_time, lambda st=state: self._phase_done(st)
-            )
-
-    def _submit_migrating(self, tx_id: int, endpoints: Sequence[int]) -> None:
-        """Migrate minority vertices to the majority shard, run locally."""
-        placed = []
-        for v in dict.fromkeys(endpoints):
-            if v in self.assignment:
-                placed.append(v)
-            else:
-                self._note_unassigned(v)
-        if not placed:
-            return
-        shards = self.shard_set(placed)
-        if len(shards) == 1:
-            self.single_shard += 1
-            state = _TxState(tx_id, shards, self.sim.now, pending=1, phase="commit")
-            self.shards[shards[0]].submit(
-                self.config.service_time, lambda st=state: self._phase_done(st)
-            )
-            return
-
-        self.multi_shard += 1
-        # majority shard hosts the most endpoints; ties go to the lowest id
-        votes: Dict[int, int] = {}
-        for v in placed:
-            votes[self.assignment[v]] = votes.get(self.assignment[v], 0) + 1
-        target = min(votes, key=lambda s: (-votes[s], s))
-
-        movers = [v for v in placed if self.assignment[v] != target]
-        jobs: List[Tuple[int, float]] = []  # (shard, transfer time)
-        for v in movers:
-            seconds = self._migration_time(v)
-            jobs.append((self.assignment[v], seconds))  # serialize at source
-            jobs.append((target, seconds))              # apply at target
-            self.assignment[v] = target                 # sticky move
-            self.migrations += 1
-
-        state = _TxState(
-            tx_id, (target,), self.sim.now, pending=len(jobs), phase="migrate"
-        )
-        for shard, seconds in jobs:
-            self.shards[shard].submit(
-                seconds, lambda st=state: self._phase_done(st)
-            )
-
-    def _migration_time(self, vertex: int) -> float:
-        if self.state is not None:
-            acct = self.state.get_optional(vertex)
-            if acct is not None:
-                size = acct.state_bytes()
-                self.migration_bytes += size
-                return size / self.config.migration_bandwidth
-        return self.config.migration_time_fixed
-
-    def _phase_done(self, state: _TxState) -> None:
-        state.pending -= 1
-        if state.pending > 0:
-            return
-        if state.phase == "prepare":
-            # all prepared: votes travel one RTT, then commit everywhere
-            state.phase = "commit"
-            state.pending = len(state.shards)
-
-            def start_commits() -> None:
-                for s in state.shards:
-                    self.shards[s].submit(
-                        self.config.commit_time,
-                        lambda st=state: self._phase_done(st),
-                    )
-
-            self.sim.schedule(self.config.network_rtt, start_commits)
-        elif state.phase == "migrate":
-            # all state landed on the target: execute locally
-            state.phase = "commit"
-            state.pending = 1
-            target = state.shards[0]
-            self.shards[target].submit(
-                self.config.service_time, lambda st=state: self._phase_done(st)
-            )
-        else:
-            self.completed += 1
-            self.latencies.append(self.sim.now - state.arrived_at)
-            self._last_completion = self.sim.now
-
-    # ------------------------------------------------------------------
-
-    def replay(
-        self,
-        interactions: Sequence[Interaction],
-        time_scale: float = 0.0,
-        arrival_rate: Optional[float] = None,
-    ) -> ThroughputReport:
-        """Replay an interaction log grouped into transactions.
-
-        This closure-based engine is the reference implementation:
-        :meth:`replay_columnar`, which every experiment cell and
-        EXT-PITFALL run, is checked bit-identical against it.
-
-        Arrival process: either compress the original timestamps by
-        ``time_scale`` (seconds of sim time per second of history), or —
-        the default — open-loop Poisson-like arrivals at
-        ``arrival_rate`` transactions/second (deterministically spaced;
-        rate defaults to 80% of the single-shard capacity k/service).
-        """
-        if time_scale < 0:
-            raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        if arrival_rate is not None and not arrival_rate > 0:
-            raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        txs: List[Tuple[int, float, Tuple[int, ...]]] = []
-        for tx_id, bucket in group_by_transaction(interactions):
-            endpoints = tuple(
-                dict.fromkeys(e for it in bucket for e in (it.src, it.dst))
-            )
-            txs.append((tx_id, bucket[0].timestamp, endpoints))
-
-        if time_scale > 0:
-            base = txs[0][1] if txs else 0.0
-            for tx_id, ts, endpoints in txs:
-                self.sim.schedule_at(
-                    (ts - base) * time_scale,
-                    lambda t=tx_id, e=endpoints: self.submit_endpoints(t, e),
-                )
-        else:
-            if arrival_rate is None:
-                arrival_rate = 0.8 * self.k / self.config.service_time
-            gap = 1.0 / arrival_rate
-            for i, (tx_id, _ts, endpoints) in enumerate(txs):
-                self.sim.schedule_at(
-                    i * gap, lambda t=tx_id, e=endpoints: self.submit_endpoints(t, e)
-                )
-
-        self.sim.run()
-        return self.report()
 
     def replay_columnar(
         self,
@@ -314,20 +175,20 @@ class ShardedExecution:
         arrival_rate: Optional[float] = None,
         strict: bool = True,
     ) -> ThroughputReport:
-        """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog` batched.
+        """Replay rows ``[lo, hi)`` of a :class:`ColumnarLog`.
 
-        The columnar driver groups transactions directly off the dense
-        ``src_indices()``/``dst_indices()``/``tx_ids()`` columns and
-        runs a flat-heap event engine (:mod:`repro.sharding.batch`) —
-        no ``Interaction`` boxing, no per-phase closures — producing a
-        report bit-identical to :meth:`replay` on the boxed equivalent
-        of the same slice.
+        Arrival process: either compress the original timestamps by
+        ``time_scale`` (seconds of sim time per second of history), or —
+        the default — open-loop arrivals at ``arrival_rate``
+        transactions/second (deterministically spaced; the rate defaults
+        to 80% of the single-shard capacity k/service).
 
         ``strict`` (the default): a replay of the log a partition
         was computed from must not touch unpartitioned vertices
         (:class:`UnassignedVertexError` names the offender).  Pass
         ``strict=False`` to count them in ``unassigned_endpoints``
-        instead.
+        instead.  A shard outside ``[0, k)`` raises
+        :class:`InvalidPartitionError` either way.
         """
         if hi is None:
             hi = len(log)
@@ -339,25 +200,215 @@ class ShardedExecution:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         if arrival_rate is not None and not arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-        run_columnar(self, log, lo, hi, time_scale, arrival_rate, strict)
-        return self.report()
 
-    def report(self) -> ThroughputReport:
-        elapsed = max(self._last_completion, self.sim.now)
-        lat = self.latencies
-        skip = int(len(lat) * self.config.warmup_fraction)
+        k = self.k
+        cfg = self.config
+        migrate = cfg.mode == "migrate"
+        raw_ids = log.vertex_ids()
+        assignment = self.assignment
+        # dense index -> shard, None where unassigned; checked once here
+        # so the engine below indexes shards without a bounds check
+        shard_of = [assignment.get(raw) for raw in raw_ids]
+        valid = {None, *range(k)}
+        if not valid.issuperset(shard_of):
+            v = next(v for v, s in enumerate(shard_of) if s not in valid)
+            raise InvalidPartitionError(
+                f"vertex {raw_ids[v]!r} is assigned to shard {shard_of[v]!r}, "
+                f"outside [0, {k}) for k={k}"
+            )
+
+        arr_time, arr_eps = _transactions(log, lo, hi)
+        n = len(arr_time)
+        if time_scale > 0:
+            base = arr_time[0] if arr_time else 0.0
+            arr_time = [(t - base) * time_scale for t in arr_time]
+            for t in arr_time:
+                if t < 0:
+                    raise SimulationClockError(f"cannot schedule at {t} < now 0.0")
+            order = sorted(range(n), key=lambda i: (arr_time[i], i))
+        else:
+            if arrival_rate is None:
+                arrival_rate = 0.8 * k / cfg.service_time
+            gap = 1.0 / arrival_rate
+            arr_time = [i * gap for i in range(n)]
+            order = list(range(n))
+
+        # ---- engine state ------------------------------------------------
+        heap: List[Tuple[float, int, int, Any]] = []
+        seq = n  # arrivals own seqs 0..n-1
+        queues = [deque() for _ in range(k)]
+        current: List[Any] = [None] * k  # (service, tx state) per busy shard
+        busy_time = [0.0] * k
+
+        latencies: List[float] = []
+        completed = 0
+        single_shard = 0
+        multi_shard = 0
+        migrations = 0
+        migration_bytes = 0
+        unassigned = 0
+        now = 0.0
+
+        service_time = cfg.service_time
+        prepare_time = cfg.prepare_time
+        commit_time = cfg.commit_time
+        network_rtt = cfg.network_rtt
+        world_state = self.state
+
+        def submit(s: int, service: float, state: list) -> None:
+            nonlocal seq
+            if current[s] is not None:
+                queues[s].append((service, state))
+            else:
+                current[s] = (service, state)
+                heappush(heap, (now + service, seq, _FINISH, s))
+                seq += 1
+
+        def phase_done(state: list) -> None:
+            nonlocal seq, completed
+            state[0] -= 1
+            if state[0] > 0:
+                return
+            phase = state[1]
+            if phase == _PH_PREPARE:
+                # all prepared: votes travel one RTT, then commit everywhere
+                state[1] = _PH_COMMIT
+                state[0] = len(state[3])
+                heappush(heap, (now + network_rtt, seq, _COMMITS, state))
+                seq += 1
+            elif phase == _PH_MIGRATE:
+                # all state landed on the target: execute locally
+                state[1] = _PH_COMMIT
+                state[0] = 1
+                submit(state[3][0], service_time, state)
+            else:
+                completed += 1
+                latencies.append(now - state[2])
+
+        def migration_time(dense: int) -> float:
+            nonlocal migration_bytes
+            if world_state is not None:
+                acct = world_state.get_optional(raw_ids[dense])
+                if acct is not None:
+                    size = acct.state_bytes()
+                    migration_bytes += size
+                    return size / cfg.migration_bandwidth
+            return cfg.migration_time_fixed
+
+        def note_unassigned(dense: int) -> None:
+            nonlocal unassigned
+            if strict:
+                raise UnassignedVertexError(raw_ids[dense])
+            unassigned += 1
+
+        def dispatch(i: int) -> None:
+            nonlocal single_shard, multi_shard, migrations
+            eps = arr_eps[i]
+            if migrate:
+                placed = []
+                for v in eps:
+                    if shard_of[v] is not None:
+                        placed.append(v)
+                    else:
+                        note_unassigned(v)
+                if not placed:
+                    return
+                shards = tuple(sorted({shard_of[v] for v in placed}))
+                if len(shards) == 1:
+                    single_shard += 1
+                    state = [1, _PH_COMMIT, now, shards]
+                    submit(shards[0], service_time, state)
+                    return
+                multi_shard += 1
+                # majority shard hosts the most endpoints; ties go to the
+                # lowest id
+                votes = {}
+                for v in placed:
+                    s = shard_of[v]
+                    votes[s] = votes.get(s, 0) + 1
+                target = min(votes, key=lambda s: (-votes[s], s))
+                jobs: List[Tuple[int, float]] = []
+                for v in placed:
+                    s = shard_of[v]
+                    if s == target:
+                        continue
+                    seconds = migration_time(v)
+                    jobs.append((s, seconds))       # serialize at source
+                    jobs.append((target, seconds))  # apply at target
+                    shard_of[v] = target            # sticky move
+                    assignment[raw_ids[v]] = target
+                    migrations += 1
+                state = [len(jobs), _PH_MIGRATE, now, (target,)]
+                for s, seconds in jobs:
+                    submit(s, seconds, state)
+                return
+            sset = set()
+            for v in eps:
+                s = shard_of[v]
+                if s is not None:
+                    sset.add(s)
+                else:
+                    note_unassigned(v)
+            shards = tuple(sorted(sset))
+            if not shards:
+                return
+            if len(shards) == 1:
+                single_shard += 1
+                state = [1, _PH_COMMIT, now, shards]
+                submit(shards[0], service_time, state)
+                return
+            multi_shard += 1
+            state = [len(shards), _PH_PREPARE, now, shards]
+            for s in shards:
+                submit(s, prepare_time, state)
+
+        # ---- event loop --------------------------------------------------
+        ai = 0
+        while True:
+            if ai < n:
+                i = order[ai]
+                t_arr = arr_time[i]
+                if not heap or (t_arr, i) < (heap[0][0], heap[0][1]):
+                    now = t_arr
+                    ai += 1
+                    dispatch(i)
+                    continue
+            if not heap:
+                break
+            t, _sq, kind, payload = heappop(heap)
+            now = t
+            if kind == _FINISH:
+                s = payload
+                service, state = current[s]
+                busy_time[s] += service
+                phase_done(state)
+                q = queues[s]
+                if q:
+                    job = current[s] = q.popleft()
+                    heappush(heap, (now + job[0], seq, _FINISH, s))
+                    seq += 1
+                else:
+                    current[s] = None
+            else:  # _COMMITS: votes arrived, commit on every involved shard
+                for s in payload[3]:
+                    submit(s, commit_time, payload)
+
+        # the clock stops at the last event: the last completion, or a
+        # later arrival that touched no assigned vertex
+        elapsed = now
+        skip = int(len(latencies) * cfg.warmup_fraction)
         return ThroughputReport(
-            k=self.k,
-            completed=self.completed,
-            single_shard=self.single_shard,
-            multi_shard=self.multi_shard,
+            k=k,
+            completed=completed,
+            single_shard=single_shard,
+            multi_shard=multi_shard,
             elapsed=elapsed,
-            throughput=self.completed / elapsed if elapsed > 0 else 0.0,
-            latency=LatencyStats.from_samples(lat[skip:]),
+            throughput=completed / elapsed if elapsed > 0 else 0.0,
+            latency=LatencyStats.from_samples(latencies[skip:]),
             utilization=tuple(
-                s.utilization(elapsed) if elapsed > 0 else 0.0 for s in self.shards
+                busy / elapsed if elapsed > 0 else 0.0 for busy in busy_time
             ),
-            migrations=self.migrations,
-            migration_bytes=self.migration_bytes,
-            unassigned_endpoints=self.unassigned_endpoints,
+            migrations=migrations,
+            migration_bytes=migration_bytes,
+            unassigned_endpoints=unassigned,
         )

@@ -107,7 +107,7 @@ class ThroughputReport:
             throughput=float(payload["throughput"]),
             latency=LatencyStats.from_dict(payload["latency"]),
             utilization=tuple(float(u) for u in payload["utilization"]),
-            migrations=int(payload.get("migrations", 0)),
-            migration_bytes=int(payload.get("migration_bytes", 0)),
-            unassigned_endpoints=int(payload.get("unassigned_endpoints", 0)),
+            migrations=int(payload["migrations"]),
+            migration_bytes=int(payload["migration_bytes"]),
+            unassigned_endpoints=int(payload["unassigned_endpoints"]),
         )

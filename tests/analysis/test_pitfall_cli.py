@@ -5,7 +5,8 @@ import pytest
 from repro.analysis.cli import main
 from repro.analysis.pitfall import compute_pitfall, render_pitfall
 from repro.analysis.runner import ExperimentRunner
-from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
+from repro.sharding.coordinator import ShardedExecutionConfig
+from tests.sharding.closure_engine import ClosureExecution
 
 
 class TestPitfall:
@@ -33,19 +34,19 @@ class TestPitfall:
         assert rows[0].multi_shard_ratio == 0.0
 
     def test_rows_match_boxed_reference_replay(self, rows, small_runner):
-        """The batched executor over rows [len - 6000, len) reproduces
-        the boxed reference ``ShardedExecution.replay`` of the same
-        6000-row tail (non-strict, default config), for the baseline
-        and for a method's final assignment."""
+        """The columnar engine over rows [len - 6000, len) reproduces
+        the closure oracle's replay of the same boxed 6000-row tail
+        (non-strict, default config), for the baseline and for a
+        method's final assignment."""
         cfg = ShardedExecutionConfig()
         tail = list(small_runner.log)[-6_000:]
         assert len(small_runner.log) > len(tail)  # the cap is exercised
         local = {v: 0 for it in tail for v in (it.src, it.dst)}
-        base = ShardedExecution(1, local, cfg).replay(
+        base = ClosureExecution(1, local, cfg).replay(
             tail, arrival_rate=3.0 / cfg.service_time)
         metis = dict(small_runner.results_for(("metis",), (4,)).get(
             "metis", 4).assignment)
-        rep = ShardedExecution(4, metis, cfg).replay(
+        rep = ClosureExecution(4, metis, cfg).replay(
             tail, arrival_rate=3.0 * 4 / cfg.service_time)
         by_method = {r.method: r for r in rows}
         for row, ref in ((by_method["single-shard"], base),

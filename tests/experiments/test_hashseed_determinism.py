@@ -2,10 +2,12 @@
 
 reprolint's RL002 bans hash-ordered set iteration statically; this is
 the dynamic counterpart.  A tiny two-method sweep is executed in fresh
-interpreters under *different* hash seeds and the fully serialized
-ResultSet dumps must be byte-identical — any hash-order dependence in
-replay, metrics, or serialization shows up as a diff.  CI runs the
-same check as a dedicated job.
+interpreters under *different* hash seeds, once plain and once with
+migrate-mode execution (whose executor mutates a dict assignment and
+tallies votes in dicts), and the fully serialized ResultSet dumps must
+be byte-identical — any hash-order dependence in replay, execution,
+metrics, or serialization shows up as a diff.  CI runs the same check
+as a dedicated job.
 """
 
 import os
@@ -19,11 +21,12 @@ _SWEEP = """\
 from repro.experiments.run import run_experiment
 from repro.experiments.spec import ExperimentSpec
 
-spec = ExperimentSpec(
-    scale="tiny", workload_seed=42, methods=("hash", "fennel"), ks=(2,),
-    window_hours=24.0,
-)
-print(run_experiment(spec).dumps())
+for execution in (None, "mode=migrate"):
+    spec = ExperimentSpec(
+        scale="tiny", workload_seed=42, methods=("hash", "fennel"), ks=(2,),
+        window_hours=24.0, execution=execution,
+    )
+    print(run_experiment(spec).dumps())
 """
 
 

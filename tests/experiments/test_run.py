@@ -220,6 +220,31 @@ class TestResume:
         assert rs.cell(key).series.points  # recomputed cleanly
 
     @pytest.mark.parametrize(
+        "field", ["migrations", "migration_bytes", "unassigned_endpoints"])
+    def test_store_declines_report_missing_a_field(self, field, tiny_workload, tmp_path):
+        """Every writer writes each report field, so a stored report
+        without one is corrupt: it is recomputed, never served as 0."""
+        spec = ExperimentSpec(
+            scale="tiny", methods=("hash",), ks=(2,), execution="mode=migrate")
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        first = run_experiment(spec, workload=tiny_workload, store=store)
+        assert first.cell(key).execution.migrations > 0
+        path = store.cell_path(spec, key)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["execution"][field]
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        outcomes = {}
+        rs = run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "computed"}
+        assert store.declined == {"corrupt": 1}
+        assert rs == first
+
+    @pytest.mark.parametrize(
         "text", ["[]", "null", '"x"', "3", "{}", "truncated"])
     def test_store_declines_non_cell_json_as_corrupt(self, text, tiny_workload, tmp_path):
         spec = ExperimentSpec(scale="tiny", methods=("hash",), ks=(2,))

@@ -1,19 +1,20 @@
-"""List-vs-columnar driver equivalence and execution determinism.
+"""The columnar engine against the closure oracle, and determinism.
 
-The batched columnar driver (`replay_columnar`) must be a bit-identical
-mirror of the closure-based list path — same event order, same float
-arithmetic order — so these tests compare full ``ThroughputReport``
-values with ``==``, never ``approx``.
+``replay_columnar`` must be a bit-identical mirror of the closure
+engine kept in ``tests.sharding.closure_engine`` — same event order,
+same float arithmetic order — so these tests compare full
+``ThroughputReport`` values with ``==``, never ``approx``.
 """
 
 import random
 
 import pytest
 
-from repro.errors import UnassignedVertexError
+from repro.errors import InvalidPartitionError, UnassignedVertexError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
+from tests.sharding.closure_engine import ClosureExecution
 
 
 CFG_2PC = ShardedExecutionConfig(
@@ -56,7 +57,7 @@ class TestDriverEquivalence:
     @pytest.mark.parametrize("k", [2, 4])
     def test_rate_mode_bit_identical(self, cfg, k):
         asg = full_assignment(k)
-        boxed = ShardedExecution(k, asg, cfg).replay(STREAM, arrival_rate=120.0)
+        boxed = ClosureExecution(k, asg, cfg).replay(STREAM, arrival_rate=120.0)
         cols = ShardedExecution(k, asg, cfg).replay_columnar(
             LOG, arrival_rate=120.0
         )
@@ -65,13 +66,13 @@ class TestDriverEquivalence:
     @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
     def test_time_scale_mode_bit_identical(self, cfg):
         asg = full_assignment(2)
-        boxed = ShardedExecution(2, asg, cfg).replay(STREAM, time_scale=0.5)
+        boxed = ClosureExecution(2, asg, cfg).replay(STREAM, time_scale=0.5)
         cols = ShardedExecution(2, asg, cfg).replay_columnar(LOG, time_scale=0.5)
         assert boxed == cols
 
     def test_default_arrival_rate_matches(self):
         asg = full_assignment(3)
-        boxed = ShardedExecution(3, asg, CFG_2PC).replay(STREAM)
+        boxed = ClosureExecution(3, asg, CFG_2PC).replay(STREAM)
         cols = ShardedExecution(3, asg, CFG_2PC).replay_columnar(LOG)
         assert boxed == cols
 
@@ -79,7 +80,7 @@ class TestDriverEquivalence:
     def test_row_slices_match_boxed_slices(self, lo, hi):
         asg = full_assignment(2)
         rows = LOG.to_interactions()[lo:hi]
-        boxed = ShardedExecution(2, asg, CFG_2PC).replay(rows, arrival_rate=150.0)
+        boxed = ClosureExecution(2, asg, CFG_2PC).replay(rows, arrival_rate=150.0)
         cols = ShardedExecution(2, asg, CFG_2PC).replay_columnar(
             LOG, lo, hi, arrival_rate=150.0
         )
@@ -87,7 +88,7 @@ class TestDriverEquivalence:
 
     def test_migrate_live_assignment_matches(self):
         asg = full_assignment(2)
-        ex_boxed = ShardedExecution(2, asg, CFG_MIGRATE)
+        ex_boxed = ClosureExecution(2, asg, CFG_MIGRATE)
         ex_cols = ShardedExecution(2, asg, CFG_MIGRATE)
         ex_boxed.replay(STREAM, arrival_rate=120.0)
         ex_cols.replay_columnar(LOG, arrival_rate=120.0)
@@ -95,7 +96,7 @@ class TestDriverEquivalence:
         assert asg == full_assignment(2)  # the input mapping stays untouched
 
     def test_empty_log(self):
-        boxed = ShardedExecution(2, {}, CFG_2PC, strict=False).replay([])
+        boxed = ClosureExecution(2, {}, CFG_2PC).replay([])
         cols = ShardedExecution(2, {}, CFG_2PC).replay_columnar(
             ColumnarLog(), strict=False
         )
@@ -109,7 +110,7 @@ class TestRepeatRunDeterminism:
     def test_boxed_repeat_runs_bit_identical(self, cfg):
         asg = full_assignment(3)
         runs = [
-            ShardedExecution(3, asg, cfg).replay(STREAM, arrival_rate=200.0)
+            ClosureExecution(3, asg, cfg).replay(STREAM, arrival_rate=200.0)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -122,6 +123,11 @@ class TestRepeatRunDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_repeat_calls_on_one_instance_are_equal(self):
+        ex = ShardedExecution(3, full_assignment(3), CFG_2PC)
+        first = ex.replay_columnar(LOG, arrival_rate=200.0)
+        assert ex.replay_columnar(LOG, arrival_rate=200.0) == first
 
 
 class TestWarmupEdges:
@@ -158,7 +164,7 @@ class TestWarmupEdges:
 
     def test_warmup_agrees_across_drivers(self):
         asg = full_assignment(2)
-        boxed = ShardedExecution(2, asg, self._cfg(0.3)).replay(
+        boxed = ClosureExecution(2, asg, self._cfg(0.3)).replay(
             STREAM, arrival_rate=100.0
         )
         cols = ShardedExecution(2, asg, self._cfg(0.3)).replay_columnar(
@@ -191,7 +197,7 @@ class TestStrictAndUnassigned:
     @pytest.mark.parametrize("cfg", [CFG_2PC, CFG_MIGRATE], ids=["2pc", "migrate"])
     def test_unassigned_counts_match_across_drivers(self, cfg):
         asg = self._partial(2)
-        boxed = ShardedExecution(2, asg, cfg).replay(STREAM, arrival_rate=100.0)
+        boxed = ClosureExecution(2, asg, cfg).replay(STREAM, arrival_rate=100.0)
         cols = ShardedExecution(2, asg, cfg).replay_columnar(
             LOG, arrival_rate=100.0, strict=False
         )
@@ -199,27 +205,42 @@ class TestStrictAndUnassigned:
         assert cols.unassigned_endpoints > 0
 
     def test_list_path_counts_instead_of_dropping(self):
-        rep = ShardedExecution(2, {1: 0}, CFG_2PC).replay(
-            [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)],
-            arrival_rate=10.0,
-        )
+        rows = [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)]
+        rep = ClosureExecution(2, {1: 0}, CFG_2PC).replay(rows, arrival_rate=10.0)
         assert rep.unassigned_endpoints == 1
         assert rep.completed == 1  # the assigned endpoint still executes
+        assert ShardedExecution(2, {1: 0}, CFG_2PC).replay_columnar(
+            ColumnarLog(rows), arrival_rate=10.0, strict=False) == rep
 
     def test_strict_list_path_raises(self):
-        ex = ShardedExecution(2, {1: 0}, CFG_2PC, strict=True)
+        rows = [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)]
+        ex = ShardedExecution(2, {1: 0}, CFG_2PC)
         with pytest.raises(UnassignedVertexError, match="99"):
-            ex.replay(
-                [Interaction(timestamp=0.0, src=1, dst=99, tx_id=0)],
-                arrival_rate=10.0,
-            )
+            ex.replay_columnar(ColumnarLog(rows), arrival_rate=10.0)
+
+
+class TestOutOfRangeShards:
+    """A shard outside [0, k) is an invalid partition under either
+    strictness, never an unassigned endpoint or a foreign index."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("shard", [2, -1, -2])
+    def test_rejected_naming_vertex_shard_and_k(self, shard, strict):
+        asg = full_assignment(2)
+        asg[RAW_BASE + 7] = shard
+        ex = ShardedExecution(2, asg, CFG_2PC)
+        with pytest.raises(
+            InvalidPartitionError,
+            match=rf"vertex {RAW_BASE + 7} .* shard {shard}\b.* k=2",
+        ):
+            ex.replay_columnar(LOG, arrival_rate=100.0, strict=strict)
 
 
 class TestValidation:
     def test_arrival_rate_zero_rejected(self):
         ex = ShardedExecution(2, full_assignment(2), CFG_2PC)
         with pytest.raises(ValueError, match="arrival_rate must be > 0, got 0"):
-            ex.replay(STREAM, arrival_rate=0)
+            ex.replay_columnar(LOG, arrival_rate=0)
 
     def test_arrival_rate_negative_rejected_columnar(self):
         ex = ShardedExecution(2, full_assignment(2), CFG_2PC)
@@ -229,7 +250,7 @@ class TestValidation:
     def test_negative_time_scale_rejected(self):
         ex = ShardedExecution(2, full_assignment(2), CFG_2PC)
         with pytest.raises(ValueError, match="time_scale must be >= 0, got -1"):
-            ex.replay(STREAM, time_scale=-1)
+            ex.replay_columnar(LOG, time_scale=-1)
 
     def test_bad_row_window_rejected(self):
         ex = ShardedExecution(2, full_assignment(2), CFG_2PC)

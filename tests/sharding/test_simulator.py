@@ -1,11 +1,9 @@
-"""Unit tests for the DES kernel, shards and event queue."""
+"""Unit tests for the closure oracle's DES kernel, shards and event queue."""
 
 import pytest
 
 from repro.errors import SimulationClockError
-from repro.sharding.events import EventQueue
-from repro.sharding.shard import Shard
-from repro.sharding.simulator import Simulator
+from tests.sharding.closure_engine import EventQueue, Shard, Simulator
 
 
 class TestEventQueue:
@@ -26,20 +24,6 @@ class TestEventQueue:
         q.pop().callback()
         q.pop().callback()
         assert fired == [1, 2]
-
-    def test_cancel(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        e.cancel()
-        assert q.pop() is None
-        assert len(q) == 0
-
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        e.cancel()
-        assert q.peek_time() == 2.0
 
 
 class TestSimulator:
@@ -85,14 +69,6 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 5.0
 
-    def test_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_run_until_advances_clock_on_idle(self):
         # an idle simulator asked to run to a horizon must report that
         # horizon, not 0.0 — elapsed/utilization figures depend on it
@@ -124,24 +100,11 @@ class TestSimulator:
         sim.run(until=3.0)  # event still pending: clock must not rewind
         assert sim.now == 4.0
 
-    def test_max_events_stop_does_not_jump_to_until(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=10.0, max_events=1)
-        assert sim.now == 1.0
-
-    def test_events_processed_counter(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 1
-
 
 class TestShard:
     def test_serial_execution(self):
         sim = Simulator()
-        shard = Shard(0, sim)
+        shard = Shard(sim)
         done = []
         shard.submit(2.0, lambda: done.append(sim.now))
         shard.submit(3.0, lambda: done.append(sim.now))
@@ -150,31 +113,22 @@ class TestShard:
 
     def test_busy_time_accumulates(self):
         sim = Simulator()
-        shard = Shard(0, sim)
+        shard = Shard(sim)
         shard.submit(2.0, lambda: None)
         shard.submit(3.0, lambda: None)
         sim.run()
         assert shard.busy_time == 5.0
-        assert shard.jobs_done == 2
         assert shard.utilization(10.0) == 0.5
-
-    def test_queue_wait_tracked(self):
-        sim = Simulator()
-        shard = Shard(0, sim)
-        shard.submit(2.0, lambda: None)
-        shard.submit(1.0, lambda: None)  # waits 2.0
-        sim.run()
-        assert shard.total_queue_wait == 2.0
 
     def test_negative_service_rejected(self):
         sim = Simulator()
-        shard = Shard(0, sim)
+        shard = Shard(sim)
         with pytest.raises(ValueError):
             shard.submit(-1.0, lambda: None)
 
     def test_idle_shard_starts_immediately(self):
         sim = Simulator()
-        shard = Shard(0, sim)
+        shard = Shard(sim)
         done = []
         shard.submit(1.5, lambda: done.append(sim.now))
         sim.run()
