@@ -30,13 +30,11 @@ from repro.kernels.backend import (
 from repro.kernels.types import (
     PACK_MASK,
     PACK_SHIFT,
-    GainBuckets,
     StreamState,
     WindowBatch,
 )
 
 __all__ = [
-    "GainBuckets",
     "PACK_MASK",
     "PACK_SHIFT",
     "StreamState",

@@ -388,7 +388,7 @@ def max_weighted_degree(graph) -> int:
 
     The gain bound of FM refinement: every vertex's move gain lies in
     ``[-max_weighted_degree, +max_weighted_degree]``, which sizes the
-    :class:`~repro.kernels.types.GainBuckets` array.
+    gain buckets ``metis.refine.fm_refine`` drains.
     """
     xadj, adjwgt = graph.xadj, graph.adjwgt
     best = 0

@@ -59,60 +59,6 @@ class StreamState:
         return len(self.esrc)
 
 
-class GainBuckets:
-    """FM gain-bucket priority structure (max gain first, FIFO within).
-
-    The classic Fiduccia–Mattheyses replacement for a binary heap:
-    vertices live in dense per-gain buckets over ``[-max_abs_gain,
-    max_abs_gain]`` and the pop order is *identical* to a lazy-deletion
-    heap ordered by ``(-gain, push counter)`` — the highest-gain bucket
-    drains in push (FIFO) order, because each bucket's entries are
-    appended in global push order and a key can only live in one bucket
-    at a time.  Stale entries (vertex locked, or its current gain no
-    longer matches the bucket it was pushed into) are the *caller's*
-    job to skip at pop time, exactly as with the heap it replaces.
-
-    Backend-neutral by nature: the structure is inherently sequential
-    (every push/pop depends on the previous one), so both kernel
-    backends share this one implementation.
-    """
-
-    __slots__ = ("_buckets", "_heads", "_offset", "_max")
-
-    def __init__(self, max_abs_gain: int) -> None:
-        if max_abs_gain < 0:
-            raise ValueError(f"max_abs_gain must be >= 0, got {max_abs_gain}")
-        self._offset = max_abs_gain
-        size = 2 * max_abs_gain + 1
-        self._buckets: List[List[int]] = [[] for _ in range(size)]
-        self._heads = [0] * size       # per-bucket read cursor
-        self._max = -1                 # highest possibly-nonempty bucket
-
-    def push(self, v: int, gain: int) -> None:
-        """Add an entry for ``v`` at ``gain``; |gain| must be within
-        the bound given at construction."""
-        idx = gain + self._offset
-        self._buckets[idx].append(v)
-        if idx > self._max:
-            self._max = idx
-
-    def pop(self):
-        """``(vertex, gain)`` of the oldest entry in the highest
-        nonempty bucket, or ``None`` when drained."""
-        while self._max >= 0:
-            bucket = self._buckets[self._max]
-            head = self._heads[self._max]
-            if head >= len(bucket):
-                if bucket:
-                    bucket.clear()
-                self._heads[self._max] = 0
-                self._max -= 1
-                continue
-            self._heads[self._max] = head + 1
-            return bucket[head], self._max - self._offset
-        return None
-
-
 class WindowBatch:
     """What one shared window pass hands the engine besides the state.
 

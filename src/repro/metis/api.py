@@ -153,6 +153,10 @@ def part_graph(
         raise PartitionError(
             f"scheme must be 'recursive' or 'direct', got {scheme!r}"
         )
+    if initial not in ("greedy", "spectral"):
+        raise PartitionError(
+            f"initial must be 'greedy' or 'spectral', got {initial!r}"
+        )
 
     unit = vertex_weights == "unit"
     if isinstance(graph, WeightedDiGraph):

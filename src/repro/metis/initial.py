@@ -6,7 +6,9 @@ Two algorithms:
   vertex, always absorbing the frontier vertex with the best gain
   (cut-weight decrease), until region 0 reaches its target weight.
   Several trials from different seeds keep the best cut (this is
-  METIS's GGGP);
+  METIS's GGGP).  The frontier lives in per-gain buckets drained
+  inline, gains move by exactly ``+2w`` as neighbors join, and each
+  trial's cut is tracked from the gains of the vertices that joined;
 * **spectral bisection** — sort vertices by the Fiedler vector of the
   weighted graph Laplacian (scipy) and take the prefix that fills the
   target weight.  Exposed for the ABL-METIS ablation and used as a
@@ -17,7 +19,6 @@ Both return a 0/1 part vector.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import List, Optional, Tuple
 
@@ -33,16 +34,20 @@ def greedy_graph_growing(
     """Best-of-``ntrials`` greedy-growing bisection.
 
     ``target0`` is the desired total vertex weight of part 0; part 1
-    receives the rest.
+    receives the rest.  The first trial with the smallest cut wins.
     """
     n = graph.num_vertices
     if n == 0:
         return []
+    xadj, adjwgt = graph.xadj, graph.adjwgt
+    # every trial starts with region 0 empty, where a vertex's gain is
+    # minus its weighted degree; no gain is further from 0 than that
+    start = [-sum(adjwgt[xadj[v]:xadj[v + 1]]) for v in range(n)]
+    bound = -min(start)
     best_part: Optional[List[int]] = None
     best_cut = float("inf")
     for _ in range(max(1, ntrials)):
-        part = _grow_once(graph, target0, rng)
-        cut = graph.cut_of(part)
+        part, cut = _grow_once(graph, target0, rng, start, bound)
         if cut < best_cut:
             best_cut = cut
             best_part = part
@@ -50,59 +55,80 @@ def greedy_graph_growing(
     return best_part
 
 
-def _grow_once(graph: CSRGraph, target0: float, rng: random.Random) -> List[int]:
-    """One greedy growth from a random seed; returns the part vector."""
+def _grow_once(
+    graph: CSRGraph,
+    target0: float,
+    rng: random.Random,
+    start: List[int],
+    bound: int,
+) -> Tuple[List[int], int]:
+    """One greedy growth from a random seed: ``(part vector, cut)``.
+
+    gain[u] = cut decrease if u joins region 0
+            = (edge weight to region 0) - (edge weight to region 1),
+    kept exact for every region-1 vertex: it starts at ``start[u]``
+    (no region-0 neighbor yet) and grows by exactly ``2w`` when a
+    neighbor across an edge of weight w joins (the edge flips from cut
+    to internal).  A vertex joining with gain g lowers the cut by g.
+    Both hold on a simple graph (no self-loops or parallel edges),
+    which every ``CSRGraph`` constructor builds.
+
+    Frontier entries live in per-gain buckets over ``[-bound, +bound]``,
+    drained inline: the highest nonempty bucket first, each in push
+    order — the pop order of a heap keyed by ``(-gain, push counter)``.
+    Every gain change re-pushes.  Edge weights are non-negative, so
+    gains only grow and a vertex's newest entry drains before its older
+    ones (an older one at the same gain drains first and is equally
+    current): an entry is stale exactly when its vertex has joined
+    region 0.
+    """
     n = graph.num_vertices
     part = [1] * n
     xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
 
-    seed = rng.randrange(n)
-    part[seed] = 0
-    weight0 = vwgt[seed]
+    gain = list(start)
+    buckets: List[List[int]] = [[] for _ in range(2 * bound + 1)]
+    heads = [0] * (2 * bound + 1)
+    top = -1
 
-    # gain[v] = cut decrease if v moves into region 0
-    #         = (edges to region 0) - (edges to region 1)
-    gain = [0] * n
-    in_heap = [False] * n
-    heap: List[Tuple[int, int, int]] = []  # (-gain, tiebreak, v)
-    counter = 0
-
-    def push_frontier(v: int) -> None:
-        nonlocal counter
-        g = 0
+    v = rng.randrange(n)
+    weight0 = 0
+    cut = 0
+    while True:
+        part[v] = 0
+        weight0 += vwgt[v]
+        cut -= gain[v]
+        if weight0 >= target0:
+            break
         for i in range(xadj[v], xadj[v + 1]):
-            g += adjwgt[i] if part[adjncy[i]] == 0 else -adjwgt[i]
-        gain[v] = g
-        counter += 1
-        heapq.heappush(heap, (-g, counter, v))
-        in_heap[v] = True
+            u = adjncy[i]
+            if part[u] == 1:
+                g = gain[u] + 2 * adjwgt[i]
+                gain[u] = g
+                b = g + bound
+                buckets[b].append(u)
+                if b > top:
+                    top = b
 
-    for i in range(xadj[seed], xadj[seed + 1]):
-        if part[adjncy[i]] == 1:
-            push_frontier(adjncy[i])
-
-    while weight0 < target0:
         v = -1
-        while heap:
-            neg_g, _, cand = heapq.heappop(heap)
-            if part[cand] == 1 and -neg_g == gain[cand]:
-                v = cand
+        while top >= 0:
+            bucket = buckets[top]
+            head = heads[top]
+            if head == len(bucket):
+                top -= 1
+                continue
+            heads[top] = head + 1
+            u = bucket[head]
+            if part[u] == 1:
+                v = u
                 break
-        if v == -1:
+        if v < 0:
             # frontier exhausted (disconnected graph): seed a new region
             remaining = [u for u in range(n) if part[u] == 1]
             if not remaining:
                 break
             v = rng.choice(remaining)
-        part[v] = 0
-        weight0 += vwgt[v]
-        for i in range(xadj[v], xadj[v + 1]):
-            u = adjncy[i]
-            if part[u] == 1:
-                # u's gain changes by 2*w (one more edge into region 0,
-                # one fewer into region 1); re-push with fresh gain
-                push_frontier(u)
-    return part
+    return part, cut
 
 
 def spectral_bisection(graph: CSRGraph, target0: float) -> List[int]:

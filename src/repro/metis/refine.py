@@ -14,6 +14,12 @@ improved.  We implement the classic FM scheme:
   with the best (cut, imbalance) seen, and passes repeat until one
   yields no improvement.
 
+The pass keeps its candidates in per-gain buckets drained inline
+(highest gain first, push order within a gain — the order of a heap
+keyed by ``(-gain, push counter)``), updates gains by exactly ``±2w``
+per moved neighbor and keeps the imbalance in a local that changes
+only on a commit.  FM draws no random numbers.
+
 A direct k-way variant (:func:`kway_refine`) runs greedy
 best-neighbor-part moves on the final k-way partition — cheaper than FM
 bookkeeping across k parts and enough to clean up recursive-bisection
@@ -31,15 +37,7 @@ from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 from repro import kernels
-from repro.kernels import GainBuckets
 from repro.metis.graph import CSRGraph
-
-
-def _imbalance(weights: Sequence[float], targets: Sequence[float]) -> float:
-    """max over parts of weight/target — 1.0 is perfectly on target."""
-    return max(
-        (w / t if t > 0 else float("inf")) for w, t in zip(weights, targets)
-    )
 
 
 def fm_refine(
@@ -54,20 +52,20 @@ def fm_refine(
 
     ``targets`` are the desired vertex-weight totals of parts 0 and 1;
     ``ubfactor`` is the allowed overweight ratio (1.05 = 5% slack, the
-    METIS default ballpark).  ``rng`` defaults to a *fresh*
-    ``random.Random(0)`` per call — never a shared instance, whose
-    state would leak across calls and make results depend on call
-    order within the process.
+    METIS default ballpark).  FM draws no random numbers: every pop,
+    tie-break and rollback is a function of the graph, ``part`` and
+    the targets, and ``rng`` is accepted for the multilevel callers'
+    uniform signature and never read.
     """
-    if rng is None:
-        rng = random.Random(0)
-    weights = [float(w) for w in kernels.active().part_weights(graph, part, 2)]
+    kr = kernels.active()
+    weights = [float(w) for w in kr.part_weights(graph, part, 2)]
     cut = graph.cut_of(part)
+    # every move gain lies in [-bound, +bound]; the bound depends on the
+    # graph alone, so one call serves every pass
+    bound = kr.max_weighted_degree(graph)
 
     for _ in range(max_passes):
-        improved = _fm_pass(
-            graph, part, weights, targets, ubfactor, cut, rng
-        )
+        improved = _fm_pass(graph, part, weights, targets, ubfactor, cut, bound)
         if improved is None:
             break
         cut = improved
@@ -81,33 +79,44 @@ def _fm_pass(
     targets: Tuple[float, float],
     ubfactor: float,
     start_cut: int,
-    rng: random.Random,
+    bound: int,
 ):
     """One FM pass.  Returns the new cut if it improved, else None.
 
     Mutates ``part`` and ``weights`` to the best prefix state.
 
-    Gains live in a :class:`GainBuckets` structure whose pop order is
-    identical to the lazy-deletion heap this replaces (max gain, then
-    push order), seeded with one batched ``gain_vector`` over the
-    boundary.  Mid-pass, a moved vertex shifts each unlocked neighbor's
-    gain by exactly ``±2×`` the connecting edge weight (the edge flips
-    between internal and external), so gains are maintained
-    incrementally; a vertex first reached mid-pass (not boundary, not
-    updated before) gets one full recompute — the same value the legacy
-    per-push recomputation produced, at a fraction of the scans.
+    Gains live in per-gain buckets over ``[-bound, +bound]``, drained
+    inline: the highest nonempty bucket first, each in push order — the
+    pop order of a lazy-deletion heap keyed by ``(-gain, push
+    counter)``.  Every gain change re-pushes, and a popped entry whose
+    vertex is locked or whose gain has changed since is skipped.  The
+    buckets are seeded with one batched ``gain_vector`` over the
+    boundary; a move shifts each unlocked neighbor's gain by exactly
+    ``±2w`` (the edge flips between internal and external), and a
+    vertex first reached mid-pass gets one full recompute.
+
+    The imbalance (max over the parts of weight/target, infinite where
+    a target is not positive) changes only on a commit, so it lives in
+    a local.
     """
     n = graph.num_vertices
     xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
     kr = kernels.active()
+    t0, t1 = targets
+    cap0, cap1 = ubfactor * t0, ubfactor * t1
+    inf = float("inf")
+    w0, w1 = weights
 
     # gain[v] is only meaningful where known[v] is set (vertices that
-    # have entered the bucket structure) — same contract as the heap's
-    # stale-entry check against the gain array
+    # have entered the buckets)
     gain = [0] * n
     known = bytearray(n)
     locked = bytearray(n)
-    buckets = GainBuckets(kr.max_weighted_degree(graph))
+    # bucket bound + g holds the entries pushed at gain g; heads[b] is
+    # bucket b's read cursor, top the highest possibly-nonempty bucket
+    buckets: List[List[int]] = [[] for _ in range(2 * bound + 1)]
+    heads = [0] * (2 * bound + 1)
+    top = -1
 
     # seed with boundary vertices; the kernel returns them ascending,
     # which is exactly the legacy scan's push order
@@ -115,41 +124,53 @@ def _fm_pass(
     for v, g in zip(boundary, kr.gain_vector(graph, part, boundary)):
         gain[v] = g
         known[v] = 1
-        buckets.push(v, g)
+        b = g + bound
+        buckets[b].append(v)
+        if b > top:
+            top = b
 
     moves: List[int] = []  # sequence of moved vertices
     cur_cut = start_cut
     best_cut = start_cut
-    best_imb = _imbalance(weights, targets)
+    r0 = w0 / t0 if t0 > 0 else inf
+    r1 = w1 / t1 if t1 > 0 else inf
+    imb = r1 if r1 > r0 else r0
+    best_imb = imb
     best_prefix = 0
 
-    while True:
-        entry = buckets.pop()
-        if entry is None:
-            break
-        v, g = entry
-        if locked[v] or g != gain[v]:
+    while top >= 0:
+        bucket = buckets[top]
+        head = heads[top]
+        if head == len(bucket):
+            top -= 1
             continue
+        heads[top] = head + 1
+        v = bucket[head]
+        if locked[v] or gain[v] != top - bound:
+            continue
+        vw = vwgt[v]
         src = part[v]
-        dst = 1 - src
-        new_weights = (
-            weights[0] - vwgt[v] if src == 0 else weights[0] + vwgt[v],
-            weights[1] - vwgt[v] if src == 1 else weights[1] + vwgt[v],
-        )
-        imb_before = _imbalance(weights, targets)
-        imb_after = _imbalance(new_weights, targets)
-        # the tolerance has a floor of one vertex above target (as in
-        # METIS) — otherwise FM freezes solid on perfectly balanced
-        # unit-weight graphs, where any single move exceeds a pure
-        # ratio bound
-        limit = max(ubfactor * targets[dst], targets[dst] + vwgt[v])
-        if new_weights[dst] > limit and imb_after >= imb_before:
+        if src == 0:
+            nw0, nw1 = w0 - vw, w1 + vw
+            # the tolerance has a floor of one vertex above target (as
+            # in METIS) — otherwise FM freezes solid on perfectly
+            # balanced unit-weight graphs, where any single move
+            # exceeds a pure ratio bound
+            over = nw1 > cap1 and nw1 > t1 + vw
+        else:
+            nw0, nw1 = w0 + vw, w1 - vw
+            over = nw0 > cap0 and nw0 > t0 + vw
+        r0 = nw0 / t0 if t0 > 0 else inf
+        r1 = nw1 / t1 if t1 > 0 else inf
+        imb_after = r1 if r1 > r0 else r0
+        if over and imb_after >= imb:
             continue  # would unbalance beyond tolerance without helping
 
         # commit the tentative move
-        part[v] = dst
-        weights[0], weights[1] = new_weights
-        cur_cut -= gain[v]
+        part[v] = 1 - src
+        w0, w1 = nw0, nw1
+        imb = imb_after
+        cur_cut -= top - bound
         locked[v] = 1
         moves.append(v)
         for i in range(xadj[v], xadj[v + 1]):
@@ -158,9 +179,9 @@ def _fm_pass(
                 continue
             if known[u]:
                 if part[u] == src:
-                    gain[u] += 2 * adjwgt[i]
+                    g_u = gain[u] + 2 * adjwgt[i]
                 else:
-                    gain[u] -= 2 * adjwgt[i]
+                    g_u = gain[u] - 2 * adjwgt[i]
             else:
                 pu = part[u]
                 g_u = 0
@@ -169,16 +190,20 @@ def _fm_pass(
                         g_u -= adjwgt[j]
                     else:
                         g_u += adjwgt[j]
-                gain[u] = g_u
                 known[u] = 1
-            buckets.push(u, gain[u])
+            gain[u] = g_u
+            b = g_u + bound
+            buckets[b].append(u)
+            if b > top:
+                top = b
 
-        if cur_cut < best_cut or (cur_cut == best_cut and imb_after < best_imb):
+        if cur_cut < best_cut or (cur_cut == best_cut and imb < best_imb):
             best_cut = cur_cut
-            best_imb = imb_after
+            best_imb = imb
             best_prefix = len(moves)
 
     # roll back to the best prefix
+    weights[0], weights[1] = w0, w1
     for v in moves[best_prefix:]:
         src = part[v]
         part[v] = 1 - src

@@ -345,66 +345,6 @@ def test_batched_refinement_kernel_parity(backend, case, seed, min_gain):
                 pure.kl_proposals(graph, p, k, min_gain)
 
 
-@given(st.lists(st.tuples(st.integers(0, 15), st.integers(-8, 8),
-                          st.booleans()),
-                max_size=60))
-@settings(max_examples=100, deadline=None)
-def test_gain_buckets_match_lazy_deletion_heap(ops):
-    """GainBuckets pop order == heap ordered by (-gain, push counter).
-
-    Simulates the FM usage pattern: interleaved pushes (re-pushing a
-    vertex changes its current gain, making older entries stale) and
-    pops with the caller-side stale/done skipping both structures
-    contract to.  The sequences of *valid* pops must be identical.
-    """
-    import heapq
-
-    from repro.kernels import GainBuckets
-
-    buckets = GainBuckets(8)
-    heap = []
-    counter = 0
-    cur = {}
-    done = set()
-
-    def pop_buckets():
-        while True:
-            entry = buckets.pop()
-            if entry is None:
-                return None
-            v, g = entry
-            if v in done or cur.get(v) != g:
-                continue
-            return v, g
-
-    def pop_heap():
-        while heap:
-            neg_g, _, v = heapq.heappop(heap)
-            if v in done or cur.get(v) != -neg_g:
-                continue
-            return v, -neg_g
-        return None
-
-    def check_one_pop():
-        got = pop_buckets()
-        ref = pop_heap()
-        assert got == ref
-        if got is not None:
-            done.add(got[0])
-        return got
-
-    for v, g, do_pop in ops:
-        if do_pop:
-            check_one_pop()
-        else:
-            cur[v] = g
-            buckets.push(v, g)
-            counter += 1
-            heapq.heappush(heap, (-g, counter, v))
-    while check_one_pop() is not None:
-        pass
-
-
 # ----------------------------------------------------------------------
 # explicit edge cases
 

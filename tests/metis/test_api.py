@@ -191,6 +191,13 @@ class TestContracts:
         with pytest.raises(PartitionError, match="'zigzag'"):
             part_graph(gen.ring_graph(5), 2, scheme="zigzag")
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_invalid_initial_rejected_up_front(self, k):
+        # k=1 never bisects and k=2 only reaches the check after
+        # coarsening, so both must be caught before any partitioning
+        with pytest.raises(PartitionError, match="'bogus'"):
+            part_graph(gen.ring_graph(5), k, initial="bogus")
+
     def test_csr_input_accepted(self):
         csr = CSRGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         res = part_graph(csr, 2, seed=0)

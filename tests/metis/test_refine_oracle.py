@@ -2,13 +2,15 @@
 
 The functions in ``repro.metis.refine`` were rewritten from per-vertex
 python dict/heap loops onto batched kernels (``conn_matrix`` /
-``gain_vector`` / ``GainBuckets``) with a bit-identity contract: same
-cuts, same parts, same move counts, under every backend.  This module
-keeps the *legacy* implementations alive as self-contained test
-oracles (no kernel calls — straight transliterations of the original
-loops, with the two determinism bugfixes applied so the comparison
-isolates the batching rewrite) and property-checks the rewritten
-functions against them.
+``gain_vector``) and inline gain buckets with a bit-identity contract:
+same cuts, same parts, same move counts, under every backend.  Greedy
+growing (``repro.metis.initial``) went from a heap with a per-push gain
+recount onto the same buckets, with a tracked cut.  This module keeps
+the *legacy* implementations alive as self-contained test oracles
+(nothing imported from the modules they check — straight
+transliterations of the original loops, with the two determinism
+bugfixes applied so the comparison isolates the rewrite) and
+property-checks the rewritten functions against them.
 """
 
 import heapq
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.metis.graph import CSRGraph
+from repro.metis.initial import greedy_graph_growing
 from repro.metis.refine import (
-    _imbalance,
     boundary_kway_refine,
     fm_refine,
     kway_refine,
@@ -33,6 +35,13 @@ BACKENDS = kernels.available_backends()
 
 # ----------------------------------------------------------------------
 # legacy implementations (pre-batching), kept verbatim as oracles
+
+
+def _legacy_imbalance(weights, targets):
+    """max over parts of weight/target — 1.0 is perfectly on target."""
+    return max(
+        (w / t if t > 0 else float("inf")) for w, t in zip(weights, targets)
+    )
 
 
 def _legacy_fm_refine(graph, part, targets, ubfactor=1.05, max_passes=8):
@@ -94,7 +103,7 @@ def _legacy_fm_pass(graph, part, weights, targets, ubfactor, start_cut):
     moves = []
     cur_cut = start_cut
     best_cut = start_cut
-    best_imb = _imbalance(weights, targets)
+    best_imb = _legacy_imbalance(weights, targets)
     best_prefix = 0
 
     while heap:
@@ -107,8 +116,8 @@ def _legacy_fm_pass(graph, part, weights, targets, ubfactor, start_cut):
             weights[0] - vwgt[v] if src == 0 else weights[0] + vwgt[v],
             weights[1] - vwgt[v] if src == 1 else weights[1] + vwgt[v],
         )
-        imb_before = _imbalance(weights, targets)
-        imb_after = _imbalance(new_weights, targets)
+        imb_before = _legacy_imbalance(weights, targets)
+        imb_after = _legacy_imbalance(new_weights, targets)
         limit = max(ubfactor * targets[dst], targets[dst] + vwgt[v])
         if new_weights[dst] > limit and imb_after >= imb_before:
             continue
@@ -135,6 +144,74 @@ def _legacy_fm_pass(graph, part, weights, targets, ubfactor, start_cut):
     if best_cut < start_cut:
         return best_cut
     return None
+
+
+def _legacy_greedy_graph_growing(graph, target0, rng, ntrials=8):
+    n = graph.num_vertices
+    if n == 0:
+        return []
+    best_part = None
+    best_cut = float("inf")
+    for _ in range(max(1, ntrials)):
+        part = _legacy_grow_once(graph, target0, rng)
+        cut = graph.cut_of(part)
+        if cut < best_cut:
+            best_cut = cut
+            best_part = part
+    assert best_part is not None
+    return best_part
+
+
+def _legacy_grow_once(graph, target0, rng):
+    n = graph.num_vertices
+    part = [1] * n
+    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
+
+    seed = rng.randrange(n)
+    part[seed] = 0
+    weight0 = vwgt[seed]
+
+    # gain[v] = cut decrease if v moves into region 0
+    #         = (edges to region 0) - (edges to region 1)
+    gain = [0] * n
+    heap = []  # (-gain, tiebreak, v)
+    counter = 0
+
+    def push_frontier(v):
+        nonlocal counter
+        g = 0
+        for i in range(xadj[v], xadj[v + 1]):
+            g += adjwgt[i] if part[adjncy[i]] == 0 else -adjwgt[i]
+        gain[v] = g
+        counter += 1
+        heapq.heappush(heap, (-g, counter, v))
+
+    for i in range(xadj[seed], xadj[seed + 1]):
+        if part[adjncy[i]] == 1:
+            push_frontier(adjncy[i])
+
+    while weight0 < target0:
+        v = -1
+        while heap:
+            neg_g, _, cand = heapq.heappop(heap)
+            if part[cand] == 1 and -neg_g == gain[cand]:
+                v = cand
+                break
+        if v == -1:
+            # frontier exhausted (disconnected graph): seed a new region
+            remaining = [u for u in range(n) if part[u] == 1]
+            if not remaining:
+                break
+            v = rng.choice(remaining)
+        part[v] = 0
+        weight0 += vwgt[v]
+        for i in range(xadj[v], xadj[v + 1]):
+            u = adjncy[i]
+            if part[u] == 1:
+                # u's gain changes by 2*w (one more edge into region 0,
+                # one fewer into region 1); re-push with fresh gain
+                push_frontier(u)
+    return part
 
 
 def _legacy_rebalance_kway(graph, part, k, targets, ubfactor=1.05):
@@ -343,6 +420,9 @@ def _legacy_kl_proposals(graph, shard, k, min_gain):
 
 @st.composite
 def graphs_and_parts(draw):
+    # zero-weight edges included: a move across one leaves a gain
+    # unchanged but still re-pushes, so equal-gain entries meet in one
+    # bucket
     n = draw(st.integers(min_value=2, max_value=40))
     m = draw(st.integers(min_value=0, max_value=100))
     edges = {}
@@ -352,7 +432,7 @@ def graphs_and_parts(draw):
         if u == v:
             continue
         key = (min(u, v), max(u, v))
-        edges[key] = edges.get(key, 0) + draw(st.integers(1, 5))
+        edges[key] = edges.get(key, 0) + draw(st.integers(0, 5))
     vwgt = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     graph = CSRGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()],
                                 vwgt=vwgt)
@@ -375,6 +455,26 @@ def test_fm_refine_matches_legacy(backend, case):
         got_part = list(bisect)
         got_cut = fm_refine(graph, got_part, targets)
     assert (got_cut, got_part) == (ref_cut, ref_part)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(case=graphs_and_parts(), eighths=st.integers(0, 10),
+       ntrials=st.integers(1, 8), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_greedy_graph_growing_matches_legacy(backend, case, eighths, ntrials,
+                                             seed):
+    # target0 runs from 0 to 1.25x the total weight; the drawn graphs
+    # have isolated vertices and separate components, so growth
+    # exhausts its frontier and reseeds through rng.choice
+    graph, _part, _k = case
+    target0 = graph.total_vertex_weight * eighths / 8
+    ref_rng = random.Random(seed)
+    ref_part = _legacy_greedy_graph_growing(graph, target0, ref_rng, ntrials)
+    with kernels.using_backend(backend):
+        got_rng = random.Random(seed)
+        got_part = greedy_graph_growing(graph, target0, got_rng, ntrials)
+    assert got_part == ref_part
+    assert got_rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
