@@ -5,7 +5,9 @@ A :class:`PartitionMethod` answers two questions:
 1. *Where does a brand-new vertex go?*  (:meth:`place_vertex`) — by
    default the paper's min-edge-cut / max-balance rule over the other
    accounts in the same transaction (§II-C, METIS bullet); HASH
-   overrides it with the hash rule.
+   overrides it with the hash rule.  The replay engine asks once per
+   transaction bucket (:meth:`place_new_vertices`), in dense indices of
+   the assignment's numbering.
 2. *Should the system repartition now, and into what?*
    (:meth:`maybe_repartition`) — called once per metric window with a
    :class:`ReplayContext`; returning a mapping triggers a
@@ -25,7 +27,7 @@ import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.assignment import ShardAssignment
-from repro.core.placement import place_by_min_cut
+from repro.core.placement import min_cut_shard, place_by_min_cut
 from repro.graph.builder import Interaction, build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
@@ -119,7 +121,8 @@ class PartitionMethod(abc.ABC):
     """Base class of the five methods.
 
     Subclasses set :attr:`name` and implement :meth:`maybe_repartition`;
-    HASH additionally overrides :meth:`place_vertex`.
+    HASH and FENNEL additionally override :meth:`place_vertex` and
+    :meth:`place_new_vertices`.
     """
 
     #: Short method name used in figures and the registry.
@@ -154,7 +157,7 @@ class PartitionMethod(abc.ABC):
         tx_endpoints: Sequence[int],
         assignment: ShardAssignment,
     ) -> int:
-        """Shard for a vertex appearing for the first time.
+        """Shard for a vertex appearing for the first time (raw ids).
 
         ``tx_endpoints`` are all accounts involved in the transaction
         that introduced the vertex.  The default implements the paper's
@@ -172,28 +175,31 @@ class PartitionMethod(abc.ABC):
         """Place every not-yet-assigned vertex of one transaction bucket.
 
         The replay engine calls this with the bucket's first-seen
-        vertices in appearance order instead of testing every endpoint
-        per method.  Contract: placements happen sequentially in the
-        given order, and placement rules may read the assignment's map
-        and per-shard vertex *counts* but never the activity weights
-        (the engine folds those in separately after placement).
-        Subclasses with per-vertex scratch state override this; the
-        default routes through :meth:`place_vertex`, feeding the
-        min-cut rule a reused scratch map when it is not overridden.
+        vertices in appearance order and the src/dst of each of its
+        rows, all as *dense indices* of ``assignment``'s numbering
+        (the engine numbers every assignment like its log).  Contract:
+        placements happen sequentially in the given order, and
+        placement rules may read the assignment's shards and per-shard
+        vertex *counts* but never the activity weights (the engine
+        folds those in separately after placement).  The default
+        places by the min-cut rule on the dense indices, with a reused
+        scratch map; a subclass that overrides only :meth:`place_vertex`
+        gets raw ids there.
         """
+        shards = assignment.shards
         if type(self).place_vertex is PartitionMethod.place_vertex:
             scratch = self._mincut_scratch
             for v in vertices:
-                if v not in assignment:
-                    assignment.assign(
-                        v,
-                        place_by_min_cut(v, tx_endpoints, assignment, scratch),
-                    )
+                if shards[v] < 0:
+                    assignment.place(
+                        v, min_cut_shard(v, tx_endpoints, assignment, scratch))
         else:
+            ids = assignment.ids
+            raw_endpoints = [ids[e] for e in tx_endpoints]
             for v in vertices:
-                if v not in assignment:
-                    assignment.assign(
-                        v, self.place_vertex(v, tx_endpoints, assignment))
+                if shards[v] < 0:
+                    assignment.place(
+                        v, self.place_vertex(ids[v], raw_endpoints, assignment))
 
     @abc.abstractmethod
     def maybe_repartition(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:

@@ -15,6 +15,9 @@ the edges available at placement time.
 We stream over *transaction endpoints* (what is known when the vertex
 first appears) plus the vertex's accumulated neighborhood if it was
 placed earlier in the same window — faithful to the streaming model.
+One scorer serves both entry points: the replay engine's batch
+placement hands it dense indices of the assignment's numbering, and
+:meth:`FennelPartitioner.place_vertex` translates raw ids into them.
 
 This method is an extension beyond the paper (flagged in DESIGN.md and
 EXPERIMENTS.md); benchmarks compare it against the paper's five.
@@ -52,11 +55,6 @@ class FennelPartitioner(PartitionMethod):
         super().__init__(k, seed)
         self.gamma = gamma
         self.power = power
-        # scratch for the batch placement path: one affinity buffer and
-        # one seen-set reused across placements instead of fresh
-        # allocations per vertex
-        self._affinity_scratch = [0.0] * k
-        self._seen_scratch: set = set()
 
     def place_vertex(
         self,
@@ -64,28 +62,55 @@ class FennelPartitioner(PartitionMethod):
         tx_endpoints: Sequence[int],
         assignment: ShardAssignment,
     ) -> int:
-        # affinity: *distinct* co-endpoints of the introducing
-        # transaction that already live somewhere.  tx_endpoints lists
-        # src/dst per interaction in the bucket, so a counterparty
-        # repeated across the transaction's calls would otherwise be
-        # counted once per call — FENNEL's |N(v) ∩ shard| is over the
-        # neighbor set, not the call multiset.
-        affinity = [0.0] * self.k
-        shard_of = assignment.shard_of
-        seen = set()
-        add_seen = seen.add
-        for other in tx_endpoints:
-            if other == vertex or other in seen:
-                continue
-            add_seen(other)
-            shard = shard_of(other)
-            if shard is not None:
+        # raw ids, translated into the dense scorer; an endpoint the
+        # assignment has never numbered is unassigned and drops out
+        index = assignment.index
+        return self._best_shard(
+            index.get(vertex, -1),
+            [index[other] for other in tx_endpoints if other in index],
+            assignment,
+        )
+
+    def place_new_vertices(
+        self,
+        vertices: Sequence[int],
+        tx_endpoints: Sequence[int],
+        assignment: ShardAssignment,
+    ) -> None:
+        # sequential: each score sees the counts the previous placement
+        # left
+        shards = assignment.shards
+        for v in vertices:
+            if shards[v] < 0:
+                assignment.place(v, self._best_shard(v, tx_endpoints, assignment))
+
+    def _best_shard(
+        self,
+        vertex: int,
+        tx_endpoints: Sequence[int],
+        assignment: ShardAssignment,
+    ) -> int:
+        """The FENNEL score's best shard for a dense vertex.
+
+        Affinity counts the *distinct* co-endpoints of the introducing
+        transaction that already live somewhere.  ``tx_endpoints``
+        lists src/dst per interaction in the bucket, so a counterparty
+        repeated across the transaction's calls would otherwise be
+        counted once per call — FENNEL's |N(v) ∩ shard| is over the
+        neighbor set, not the call multiset.
+        """
+        k = self.k
+        affinity = [0.0] * k
+        shards = assignment.shards
+        neighbors = dict.fromkeys(tx_endpoints)
+        neighbors.pop(vertex, None)
+        for other in neighbors:
+            shard = shards[other]
+            if shard >= 0:
                 affinity[shard] += 1.0
 
         counts = assignment.counts
-        total = sum(counts)
-        avg = max(total / self.k, 1.0)
-
+        avg = max(sum(counts) / k, 1.0)
         gamma = self.gamma
         power = self.power
         best_shard = 0
@@ -96,54 +121,6 @@ class FennelPartitioner(PartitionMethod):
                 best_score = score
                 best_shard = s
         return best_shard
-
-    def place_new_vertices(
-        self,
-        vertices: Sequence[int],
-        tx_endpoints: Sequence[int],
-        assignment: ShardAssignment,
-    ) -> None:
-        # batch form of place_vertex over one transaction bucket:
-        # identical affinity/score arithmetic in identical order, but
-        # the affinity buffer and the distinct-endpoint set are scratch
-        # state zeroed between vertices rather than re-allocated.
-        # Placements are sequential — each score sees the counts left
-        # by the previous assign, exactly like the per-vertex path.
-        k = self.k
-        affinity = self._affinity_scratch
-        seen = self._seen_scratch
-        shard_of = assignment._map.get
-        counts = assignment._counts
-        gamma = self.gamma
-        power = self.power
-        touched: list = []
-        for vertex in vertices:
-            if vertex in assignment:
-                continue
-            seen.clear()
-            add_seen = seen.add
-            for other in tx_endpoints:
-                if other == vertex or other in seen:
-                    continue
-                add_seen(other)
-                shard = shard_of(other)
-                if shard is not None:
-                    affinity[shard] += 1.0
-                    touched.append(shard)
-
-            total = sum(counts)
-            avg = max(total / k, 1.0)
-            best_shard = 0
-            best_score = float("-inf")
-            for s, count in enumerate(counts):
-                score = affinity[s] - gamma * (count / avg) ** power
-                if score > best_score:
-                    best_score = score
-                    best_shard = s
-            for s in touched:
-                affinity[s] = 0.0
-            del touched[:]
-            assignment.assign(vertex, best_shard)
 
     def maybe_repartition(self, ctx: ReplayContext) -> Optional[Mapping[int, int]]:
         return None  # streaming: placement is final, like HASH

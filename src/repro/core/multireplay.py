@@ -11,7 +11,10 @@ their counts) — do not depend on the method at all.
 the shared state a single time, fanning out only the per-method parts:
 
 * the :class:`~repro.core.assignment.ShardAssignment` (placement is
-  method- and history-dependent),
+  method- and history-dependent), numbered like the log: dense index
+  ``i`` of every assignment is dense index ``i`` of the log, so the
+  placement groups reach the methods as dense slices of the src/dst
+  columns and the accounting kernels read ``assignment.shards`` as is,
 * the incremental static-cut counter (depends on the assignment),
 * the per-window dynamic counters, the
   :class:`~repro.metrics.series.MetricSeries` and the repartition
@@ -45,13 +48,13 @@ the engine directly for one-off method studies.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional, Sequence, Union
 
 from repro import kernels
 from repro.core.assignment import ShardAssignment
 from repro.core.base import PartitionMethod, RepartitionEvent, ReplayContext
 from repro.core.replay import ReplayResult, apply_proposal
+from repro.errors import InvalidPartitionError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import METRIC_WINDOW
@@ -102,13 +105,13 @@ class _MethodState:
     __slots__ = (
         "method", "k", "assignment", "series", "events",
         "static_cut", "total_moves", "last_repartition_ts", "period_start",
-        "shard_arr",
     )
 
-    def __init__(self, method: PartitionMethod, first_ts: float):
+    def __init__(self, method: PartitionMethod, first_ts: float,
+                 ids: Sequence[int]):
         self.method = method
         self.k = method.k
-        self.assignment = ShardAssignment(method.k)
+        self.assignment = ShardAssignment(method.k, ids)
         self.series = MetricSeries(method=method.name, k=method.k)
         self.events: List[RepartitionEvent] = []
         self.static_cut = 0
@@ -117,9 +120,6 @@ class _MethodState:
         # index into the shared log where this method's current
         # repartition period begins
         self.period_start = 0
-        # the assignment mirrored as a dense-index array (shard of the
-        # vertex with dense index i) — the accounting kernels' input
-        self.shard_arr = array("i")
 
     def result(self, log: ColumnarLog, log_hi: int) -> ReplayResult:
         return ReplayResult(
@@ -189,11 +189,11 @@ class MultiReplayEngine:
         src_col = log.src_indices()
         dst_col = log.dst_indices()
         tx_col = log.tx_ids()
-        vertex_id = log.vertex_id
 
         for m in self.methods:
             m.begin_replay()
-        states = [_MethodState(m, self._first_ts) for m in self.methods]
+        ids = log.vertex_ids()
+        states = [_MethodState(m, self._first_ts, ids) for m in self.methods]
 
         idx = 0
         window_start = self._first_ts if n_log else 0.0
@@ -210,27 +210,22 @@ class MultiReplayEngine:
             # vertices are the ones past the previous maximum
             n_seen = stream.num_vertices
             batch = kr.window_pass(src_col, dst_col, tx_col, lo, idx, stream)
-            new_pairs = [
-                (dense, vertex_id(dense))
-                for dense in range(n_seen, stream.num_vertices)
-            ]
+            n_streamed = stream.num_vertices
             # static cut counts distinct *directed* edges, per the
             # paper's directed-graph formulation
             distinct_edges = stream.num_edges
 
-            # placement inputs, shared across methods: the raw endpoint
-            # appearance list of each transaction bucket that introduced
-            # at least one first-seen vertex (all other buckets skip the
-            # placement loop entirely)
+            # placement inputs, shared across methods: the dense
+            # endpoint appearance list (src, dst per row) of each
+            # transaction bucket that introduced at least one
+            # first-seen vertex (all other buckets skip the placement
+            # loop entirely)
             group_inputs: List = []
             for g_lo, g_hi, new_dense in batch.placement_groups:
-                endpoints: List[int] = []
-                append_endpoint = endpoints.append
-                for i in range(g_lo, g_hi):
-                    append_endpoint(vertex_id(src_col[i]))
-                    append_endpoint(vertex_id(dst_col[i]))
-                group_inputs.append(
-                    ([vertex_id(d) for d in new_dense], endpoints))
+                endpoints = [0, 0] * (g_hi - g_lo)
+                endpoints[::2] = src_col[g_lo:g_hi]
+                endpoints[1::2] = dst_col[g_lo:g_hi]
+                group_inputs.append((new_dense, endpoints))
 
             window_rows = idx - lo
             window_view = _LogView(log, lo, idx)
@@ -238,25 +233,22 @@ class MultiReplayEngine:
             # fan-out: placement, accounting and the window close for
             # each method.  Placement first, bulk accounting second —
             # equivalent to the legacy interleaved walk because
-            # placement rules read only the shard map and vertex counts,
+            # placement rules read only the shards and vertex counts,
             # never the activity weights accounting mutates.
             for st in states:
                 method = st.method
                 assignment = st.assignment
                 k = st.k
-                shard_map = assignment._map
-                shard_arr = st.shard_arr
-                if new_pairs:
-                    shard_arr.extend([-1] * len(new_pairs))
-                    place_new = method.place_new_vertices
-                    for new_raws, endpoints in group_inputs:
-                        place_new(new_raws, endpoints, assignment)
-                    for dense, raw in new_pairs:
-                        shard_arr[dense] = shard_map[raw]
+                shards = assignment.shards
+                for new_dense, endpoints in group_inputs:
+                    method.place_new_vertices(new_dense, endpoints, assignment)
+                if -1 in shards[n_seen:n_streamed]:
+                    raise InvalidPartitionError(
+                        f"{method.name} left a first-seen vertex unplaced")
 
                 wcut, wtotal, load, weight_delta, static_delta = (
                     kr.account_window(src_col, dst_col, lo, idx,
-                                      batch.new_edges, shard_arr, k))
+                                      batch.new_edges, shards, k))
                 shard_weights = assignment._weights
                 for shard in range(k):
                     shard_weights[shard] += weight_delta[shard]
@@ -286,20 +278,12 @@ class MultiReplayEngine:
                 )
                 proposal = method.maybe_repartition(ctx)
                 if proposal is not None:
-                    index_of = log._index()
-                    moves = apply_proposal(
-                        proposal, assignment, stream.activity, index_of)
+                    moves = apply_proposal(proposal, assignment, stream.activity)
                     st.total_moves += moves
-                    # resync the dense mirror for moved vertices, then
                     # recount the static cut over the stream's
                     # distinct-edge arrays
-                    n_streamed = len(shard_arr)
-                    for raw in proposal:
-                        dense = index_of.get(raw)
-                        if dense is not None and dense < n_streamed:
-                            shard_arr[dense] = shard_map[raw]
                     st.static_cut = kr.static_cut_count(
-                        stream.esrc, stream.edst, shard_arr)
+                        stream.esrc, stream.edst, shards)
                     st.period_start = idx
                     st.last_repartition_ts = window_end
                     st.events.append(

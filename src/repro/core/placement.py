@@ -6,6 +6,10 @@ paper (§II-C): "This is done by inspecting all the accounts involved in
 the transaction and picking the shard that minimizes edge-cuts; if more
 than one exists, we maximize the balance."
 
+The rule scores dense indices of the assignment's numbering
+(:func:`min_cut_shard`, what the replay engine's batch placement
+calls); :func:`place_by_min_cut` is the same rule over raw vertex ids.
+
 Alternative rules (hash, random, lightest) are provided for the
 ABL-PLACE ablation.
 """
@@ -19,7 +23,7 @@ from repro.core.assignment import ShardAssignment
 from repro.ethereum.types import address_hash
 
 
-def place_by_min_cut(
+def min_cut_shard(
     vertex: int,
     tx_endpoints: Sequence[int],
     assignment: ShardAssignment,
@@ -27,10 +31,12 @@ def place_by_min_cut(
 ) -> int:
     """Pick the shard minimising new edge-cut, tie-break on balance.
 
-    The shard hosting the most already-assigned endpoints of the
-    transaction minimises the number of freshly-cut edges.  Among
-    equally good shards the emptiest (by vertex count) wins; a vertex
-    with no assigned co-endpoints goes to the emptiest shard outright.
+    ``vertex`` and ``tx_endpoints`` are dense indices of
+    ``assignment``'s numbering.  The shard hosting the most
+    already-assigned endpoints of the transaction minimises the number
+    of freshly-cut edges.  Among equally good shards the emptiest (by
+    vertex count) wins; a vertex with no assigned co-endpoints goes to
+    the emptiest shard outright.
 
     ``scratch``, when given, is an *empty* dict the affinity counts are
     built in and which is cleared again before returning — the batch
@@ -40,12 +46,12 @@ def place_by_min_cut(
     assigned co-endpoint.
     """
     affinity: Dict[int, int] = {} if scratch is None else scratch
-    shard_of = assignment.shard_of
+    shards = assignment.shards
     for other in tx_endpoints:
         if other == vertex:
             continue
-        shard = shard_of(other)
-        if shard is not None:
+        shard = shards[other]
+        if shard >= 0:
             affinity[shard] = affinity.get(shard, 0) + 1
 
     if not affinity:
@@ -59,6 +65,26 @@ def place_by_min_cut(
         return candidates[0]
     counts = assignment.counts
     return min(candidates, key=lambda s: (counts[s], s))
+
+
+def place_by_min_cut(
+    vertex: int,
+    tx_endpoints: Sequence[int],
+    assignment: ShardAssignment,
+    scratch: Optional[Dict[int, int]] = None,
+) -> int:
+    """:func:`min_cut_shard` over raw vertex ids.
+
+    The ids are translated through ``assignment.index``; an endpoint
+    the assignment has never numbered is unassigned and drops out.
+    """
+    index = assignment.index
+    return min_cut_shard(
+        index.get(vertex, -1),
+        [index[other] for other in tx_endpoints if other in index],
+        assignment,
+        scratch,
+    )
 
 
 def place_by_hash(vertex: int, k: int) -> int:

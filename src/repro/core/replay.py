@@ -19,6 +19,11 @@ Static metrics are maintained incrementally (recomputed from scratch
 only at repartitionings), so a full replay is O(interactions + windows
 + repartitions × |E|) rather than O(windows × |E|).
 
+Each method's :class:`~repro.core.assignment.ShardAssignment` is
+numbered like the log, so its dense ``shards`` array is what placement
+scores and the accounting kernels read, and :func:`apply_proposal`
+finds a proposed vertex's shard with one lookup in its ``index``.
+
 The streaming loop itself lives in
 :mod:`repro.core.multireplay`, which fans one pass over the log out to
 any number of methods; :class:`ReplayEngine` is its single-method
@@ -78,27 +83,26 @@ def apply_proposal(
     proposal: Mapping[int, int],
     assignment: ShardAssignment,
     activity: Sequence[int],
-    index_of: Mapping[int, int],
 ) -> int:
     """Apply a repartition proposal; returns the move count.
 
     A moved vertex carries its activity weight to the new shard:
-    ``activity[index_of[v]]`` for a streamed vertex (the stream
-    state's activity over dense indices), 0 for one not streamed yet.
+    ``activity[i]`` for dense index ``i`` of the assignment's numbering
+    (the engine numbers it like its log, so this is the stream state's
+    activity), 0 for a vertex not streamed yet.
     """
-    moves = 0
+    index = assignment.index
+    shards = assignment.shards
     streamed = len(activity)
+    moves = 0
     for v, shard in proposal.items():
-        current = assignment.shard_of(v)
-        if current is None:
+        i = index.get(v)
+        if i is None or shards[i] < 0:
             # method proposed a vertex the replay has not seen yet;
             # treat as a fresh placement (no move)
             assignment.assign(v, shard)
-            continue
-        if current != shard:
-            dense = index_of.get(v)
-            weight = activity[dense] if dense is not None and dense < streamed else 0
-            assignment.move(v, shard, weight=weight)
+        elif shards[i] != shard:
+            assignment.move(v, shard, weight=activity[i] if i < streamed else 0)
             moves += 1
     return moves
 

@@ -188,8 +188,11 @@ class CellResult:
 
         Raises :class:`~repro.errors.StaleResultError` for a cell with
         another format or algorithm stamp (an unstamped cell is format
-        1), and ``ValueError``, ``KeyError`` or ``TypeError`` for one
-        that is not a cell at all.
+        1), ``ValueError`` for one that contradicts its own key (a
+        vertex listed twice, a shard outside ``[0, k)``, other than k
+        shard weights, a series for another k), and ``ValueError``,
+        ``KeyError`` or ``TypeError`` for one that is not a cell at
+        all.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a cell is a JSON object, not {type(data).__name__}")
@@ -203,16 +206,30 @@ class CellResult:
             )
         series = data["series"]
         execution = data.get("execution")
+        k = key.k
+        vertices = data["vertices"]
+        shards = data["shards"]
+        assignment = dict(zip(vertices, shards, strict=True))
+        shard_weights = tuple(data["shard_weights"])
+        if len(assignment) != len(vertices):
+            raise ValueError(f"cell {key.label} lists a vertex twice")
+        if shards and not (min(shards) >= 0 and max(shards) < k):
+            raise ValueError(f"cell {key.label} has a shard outside [0, {k})")
+        if len(shard_weights) != k:
+            raise ValueError(
+                f"cell {key.label} has {len(shard_weights)} shard weights for k={k}")
+        if series["k"] != k:
+            raise ValueError(f"cell {key.label} has a series for k={series['k']!r}")
         return cls(
             key=key,
             series=MetricSeries(
                 method=series["method"],
-                k=int(series["k"]),
+                k=k,
                 points=_rows(MetricPoint, series["columns"], _POINT_FIELDS),
             ),
             events=_rows(RepartitionEvent, data["events"], _EVENT_FIELDS),
-            assignment=dict(zip(data["vertices"], data["shards"], strict=True)),
-            shard_weights=tuple(data["shard_weights"]),
+            assignment=assignment,
+            shard_weights=shard_weights,
             execution=(
                 ThroughputReport.from_dict(execution)
                 if execution is not None else None

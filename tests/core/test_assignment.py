@@ -179,3 +179,47 @@ class TestCopyValidate:
         d = a.as_dict()
         a.move(1, 1)
         assert d == {1: 0}
+
+
+class TestNumbering:
+    """The shards live in an array over the vertex numbering the
+    assignment carries (-1 while unassigned)."""
+
+    def test_numbered_vertices_start_unassigned(self):
+        a = ShardAssignment(2, ids=[30, 10, 20])
+        assert a.ids == [30, 10, 20]
+        assert a.index == {30: 0, 10: 1, 20: 2}
+        assert list(a.shards) == [-1, -1, -1]
+        assert len(a) == 0 and 10 not in a and a.get(10) is None
+        assert a.static_balance() == 1.0
+
+    def test_place_is_assign_by_dense_index(self):
+        a = ShardAssignment(2, ids=[30, 10, 20])
+        a.place(1, 1)
+        assert a[10] == 1 and a.counts == (0, 1)
+        assert list(a.shards) == [-1, 1, -1]
+        assert a.as_dict() == {10: 1}
+        with pytest.raises(InvalidPartitionError, match="vertex 10 already assigned"):
+            a.place(1, 0)
+        with pytest.raises(InvalidPartitionError, match="out of range"):
+            a.place(0, 2)
+
+    def test_assign_interns_outside_ids_at_the_end(self):
+        a = ShardAssignment(2, ids=[30, 10])
+        a.assign(10, 0)
+        a.assign(99, 1)
+        assert a.ids == [30, 10, 99]
+        assert a.index[99] == 2
+        assert list(a.shards) == [-1, 0, 1]
+        assert list(a.items()) == [(10, 0), (99, 1)]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(InvalidPartitionError, match="repeats"):
+            ShardAssignment(2, ids=[1, 2, 1])
+
+    def test_copy_owns_its_numbering(self):
+        a = ShardAssignment(2, ids=[5])
+        b = a.copy()
+        b.assign(6, 1)
+        b.assign(5, 0)
+        assert a.ids == [5] and 5 not in a and list(a.shards) == [-1]

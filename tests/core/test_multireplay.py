@@ -7,10 +7,12 @@ while streaming the log (and folding its stream state) exactly once.
 
 import pytest
 
+from repro import kernels
 from repro.core.base import PartitionMethod
 from repro.core.multireplay import MultiReplayEngine, replay_methods
 from repro.core.registry import make_method
 from repro.core.replay import ReplayEngine
+from repro.errors import InvalidPartitionError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import HOUR
@@ -203,3 +205,50 @@ class TestEngineContract:
         windows, periods = zip(*seen["a"])
         assert [len(w) for w in windows] == [2, 1]
         assert periods[-1] == log  # period buffer accumulates the whole log
+
+
+class TestOneShardMap:
+    """Each method's assignment is the engine's only shard map: it is
+    numbered like the log, and its ``shards`` array is the very object
+    the accounting kernels read."""
+
+    def test_kernels_read_the_assignment_shards(self, tiny_workload, monkeypatch):
+        kr = kernels.active()
+        received = {"account_window": [], "static_cut_count": []}
+
+        def spy(name, shard_arg):
+            original = getattr(kr, name)
+
+            def wrapper(*args):
+                received[name].append(args[shard_arg])
+                return original(*args)
+            monkeypatch.setattr(kr, name, wrapper)
+
+        spy("account_window", 5)
+        spy("static_cut_count", 2)
+        engine = MultiReplayEngine(
+            tiny_workload.builder.log,
+            [make_method("hash", 4, seed=1), make_method("metis", 4, seed=1)],
+            metric_window=24 * HOUR,
+        )
+        hashed, metis = engine.run()
+
+        assert received["static_cut_count"]
+        assert all(s is metis.assignment.shards
+                   for s in received["static_cut_count"])
+        accounted = received["account_window"]
+        assert len(accounted) == 2 * len(metis.series)
+        assert all(s is hashed.assignment.shards for s in accounted[0::2])
+        assert all(s is metis.assignment.shards for s in accounted[1::2])
+
+        ids = engine.log.vertex_ids()
+        for result in (hashed, metis):
+            assert tuple(result.assignment.ids[: len(ids)]) == ids
+
+    def test_unplaced_first_seen_vertex_is_an_error(self):
+        class Lazy(StaticMethod):
+            def place_new_vertices(self, vertices, tx_endpoints, assignment):
+                pass
+
+        with pytest.raises(InvalidPartitionError, match="unplaced"):
+            MultiReplayEngine(log_of([(1, 2)]), [Lazy(2)], metric_window=10.0).run()

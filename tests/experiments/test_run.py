@@ -8,6 +8,7 @@ re-execute zero completed cells.
 """
 
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.registry import PAPER_ORDER, make_method
 from repro.core.replay import ReplayEngine
 from repro.experiments import (
     CellKey,
+    CellResult,
     ExperimentSpec,
     MethodSpec,
     ResultStore,
@@ -256,6 +258,44 @@ class TestResume:
             text = path.read_text(encoding="utf-8")
             text = text[: len(text) // 2]
         path.write_text(text, encoding="utf-8")
+
+        outcomes = {}
+        run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "computed"}
+        assert store.declined == {"corrupt": 1}
+        assert store.load(spec, key) is not None  # the file was rewritten
+
+    @pytest.mark.parametrize("edit", [
+        "shard_above_k", "negative_shard", "repeated_vertex",
+        "one_shard_weight", "series_for_other_k",
+    ])
+    def test_store_declines_cell_inconsistent_with_its_key(
+            self, edit, tiny_workload, tmp_path):
+        """A cell whose content contradicts its own key is corrupt: it
+        is recomputed, never served."""
+        spec = ExperimentSpec(scale="tiny", methods=("hash",), ks=(2,))
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        run_experiment(spec, workload=tiny_workload, store=store)
+        path = store.cell_path(spec, key)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if edit == "shard_above_k":
+            data["shards"][0] = 7
+        elif edit == "negative_shard":
+            data["shards"][0] = -1
+        elif edit == "repeated_vertex":
+            data["vertices"][1] = data["vertices"][0]
+        elif edit == "one_shard_weight":
+            data["shard_weights"] = data["shard_weights"][:1]
+        else:
+            data["series"]["k"] = 5
+        text = json.dumps(data)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(key.label)):
+            CellResult.from_json(text)
 
         outcomes = {}
         run_experiment(

@@ -13,11 +13,15 @@ Covers the PR-2 contracts:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import kernels
 from repro.graph import generators as gen
 from repro.graph.builder import Interaction, build_graph
 from repro.graph.columnar import ColumnarLog
 from repro.graph.undirected import collapse_to_undirected
+from repro.kernels import StreamState
 from repro.metis import ColumnarCSRBuilder, CSRGraph, LadderCache, part_graph
 from repro.metis.coarsen import coarsen_warm
 
@@ -131,6 +135,39 @@ class TestColumnarCSR:
             CSRGraph.from_columnar(log, vertex_weights="bogus")
         with pytest.raises(PartitionError, match="bogus"):
             ColumnarCSRBuilder(log).snapshot(vertex_weights="bogus")
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                       min_size=1, max_size=60),
+        cuts=st.lists(st.integers(1, 60), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stream_state_merges_to_the_builder_snapshot(self, pairs, cuts):
+        """Warm METIS could read the replay's stream state instead of
+        the builder without changing a cell: after ``window_pass`` folds
+        rows ``[0, hi)``, merging the state's distinct directed edges
+        gives the builder's unit-weight snapshot of the same rows,
+        adjacency order included (self-loops give no edge)."""
+        log = ColumnarLog(
+            Interaction(float(i), 7919 * u, 7919 * v, tx_id=i)
+            for i, (u, v) in enumerate(pairs))
+        kr = kernels.active()
+        state = StreamState()
+        lo = 0
+        for hi in sorted({min(c, len(log)) for c in cuts} | {len(log)}):
+            kr.window_pass(log.src_indices(), log.dst_indices(), log.tx_ids(),
+                           lo, hi, state)
+            lo = hi
+            merged = CSRGraph.from_edges(
+                state.num_vertices, zip(state.esrc, state.edst, state.ecount))
+            builder = ColumnarCSRBuilder(log)
+            builder.advance(hi)
+            snap = builder.snapshot("unit")
+            assert list(merged.xadj) == list(snap.xadj)
+            assert list(merged.adjncy) == list(snap.adjncy)
+            assert list(merged.adjwgt) == list(snap.adjwgt)
+            assert list(merged.vwgt) == list(snap.vwgt)
+            assert snap.orig_ids == list(log.vertex_ids()[: state.num_vertices])
 
 
 class TestWarmPartGraph:
