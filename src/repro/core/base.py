@@ -24,8 +24,9 @@ import abc
 import dataclasses
 import functools
 import random
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
+from repro import kernels
 from repro.core.assignment import ShardAssignment
 from repro.core.placement import min_cut_shard, place_by_min_cut
 from repro.graph.builder import Interaction, build_graph_columnar
@@ -72,6 +73,11 @@ class ReplayContext:
             keeps growing it, so it describes rows ``[0, log_hi)`` only
             during the ``maybe_repartition`` call this context is
             passed to; ``graph`` stays valid after it.
+        window_graphs: the graphs of the window just processed, shared
+            by every method's context of that window (see
+            :meth:`window_graph`).  The engine makes one dict per
+            window and drops it when the window closes; a hand-built
+            context gets an empty one of its own.
     """
 
     now: float
@@ -87,6 +93,36 @@ class ReplayContext:
     log_hi: int
     log_period_start: int
     stream: StreamState
+    window_graphs: Dict[Hashable, Any] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False)
+
+    def window_graph(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, once per ``key`` per window.
+
+        Every method that partitions the same rows in one window reads
+        one graph object: cold METIS the stream state's CSR, cold
+        R-METIS/TR-METIS and KL their period CSRs, keyed by row range.
+        Bisections are memoised on the graph they split
+        (:mod:`repro.metis.bisect`), so the shard counts of one method
+        that repartition together with one seed share them.  ``key``
+        must name everything ``build`` reads besides the window.
+        """
+        graphs = self.window_graphs
+        if key not in graphs:
+            graphs[key] = build()
+        return graphs[key]
+
+    def period_batch(self) -> tuple:
+        """The ``graph_batch`` aggregate of rows ``[log_period_start,
+        log_hi)``: one kernel call per row range per window, read by
+        KL's activity-weighted period CSR and by the unit-weighted one
+        cold R-METIS/TR-METIS partition."""
+        lo, hi = self.log_period_start, self.log_hi
+        log = self.columnar_log
+        return self.window_graph(("graph_batch", lo, hi), lambda: (
+            kernels.active().graph_batch(
+                log.timestamps(), log.src_indices(), log.dst_indices(),
+                log.src_kind_codes(), log.dst_kind_codes(), lo, hi)))
 
     @functools.cached_property
     def graph(self) -> WeightedDiGraph:

@@ -56,23 +56,26 @@ class KLPartitioner(PartitionMethod):
         if ctx.elapsed_since_repartition < self.period:
             return None
 
-        # CSR bridge: one ``graph_batch`` kernel call over the period's
-        # rows + ``from_graph_batch``, with no period WeightedDiGraph.
-        # Its arrays equal ``CSRGraph.from_digraph(ctx.period_graph)``'s
-        # element for element (a parity property in
+        # CSR bridge: the period's ``graph_batch`` aggregate (one kernel
+        # call per row range per window, shared with R-METIS) +
+        # ``from_graph_batch``, with no period WeightedDiGraph, built
+        # once per window for every KL cell of this period.  Its arrays
+        # equal ``CSRGraph.from_digraph(ctx.period_graph)``'s element
+        # for element (a parity property in
         # tests/kernels/test_parity.py): vertices in first-appearance
         # order, each adjacency in first-encounter order, so proposal
         # order and tie-breaks match the per-vertex dict loop.
         lo, hi = ctx.log_period_start, ctx.log_hi
         if hi <= lo:
             return None
-        log = ctx.columnar_log
-        first_seen, _upgrades, edge_weights, vertex_weights = (
-            kernels.active().graph_batch(
-                log.timestamps(), log.src_indices(), log.dst_indices(),
-                log.src_kind_codes(), log.dst_kind_codes(), lo, hi))
-        csr = CSRGraph.from_graph_batch(
-            first_seen, edge_weights, vertex_weights, log.vertex_id)
+
+        def build() -> CSRGraph:
+            first_seen, _upgrades, edge_weights, vertex_weights = ctx.period_batch()
+            return CSRGraph.from_graph_batch(
+                first_seen, edge_weights, vertex_weights,
+                ctx.columnar_log.vertex_id)
+
+        csr = ctx.window_graph(("kl", lo, hi), build)
         ids = csr.orig_ids or []
         local = {v: i for i, v in enumerate(ids)}
         # working copy of shard labels, local-indexed (-1 = unassigned:

@@ -15,7 +15,20 @@ between runs, to reproduce that behaviour honestly.
 
 A cold run partitions the replay's stream state — the dense cumulative
 graph the engine folds each window into — collapsed to CSR by
-:meth:`~repro.metis.graph.CSRGraph.from_stream`.
+:meth:`~repro.metis.graph.CSRGraph.from_stream` once per window for
+every method that reads it
+(:meth:`~repro.core.base.ReplayContext.window_graph`).  Cells of one
+sweep share a seed, and ``part_graph``'s seed is ``seed·10007 + run``,
+so the k=2, 4 and 8 cells that run their ``run``-th partition in the
+same window bisect the top level once between them, and k=8 reuses
+k=4's bisection of the left half (the bisection memo of
+:mod:`repro.metis.bisect`).  On a full history that never happens: a
+cell whose offer finds fewer than k vertices returns before counting a
+run and without restarting its period, so the larger-k cells start
+later and keep their own phase.  On ``--scale small`` (24 h windows),
+k=2, 4 and 8 first repartition on days 14, 24 and 43, and none of
+their 183 repartition windows is shared by all three.  Aligning them
+would change results.
 
 Warm mode (``warm=True``, off by default) is this reproduction's
 incremental extension: the cumulative graph is accumulated
@@ -92,7 +105,8 @@ class MetisPartitioner(PartitionMethod):
             return None
         self._run += 1
         result = part_graph(
-            CSRGraph.from_stream(ctx.stream, ctx.columnar_log.vertex_id),
+            ctx.window_graph(("stream", ctx.log_hi), lambda: CSRGraph.from_stream(
+                ctx.stream, ctx.columnar_log.vertex_id)),
             self.k,
             seed=self.seed * 10_007 + self._run,
             ubfactor=self.ubfactor,

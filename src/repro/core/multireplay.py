@@ -31,6 +31,18 @@ activity weights, and the dict-of-dicts
 :attr:`ReplayResult.graph <repro.core.replay.ReplayResult.graph>` is
 built from the replayed rows only when something reads it.
 
+The methods of one window also share its graphs: the engine gives
+every :class:`~repro.core.base.ReplayContext` of a window one dict,
+through which :meth:`~repro.core.base.ReplayContext.window_graph`
+builds each graph once — the stream state's CSR for cold METIS, the
+period CSRs for cold R-METIS/TR-METIS and KL, and the ``graph_batch``
+aggregate under the latter two.  Bisections are memoised on the graph
+they split (:mod:`repro.metis.bisect`), so a method's k=2, 4 and 8
+cells that repartition in the same window with the same seed compute
+their common bisections once.  The dict is replaced when the next
+window starts, so each window's graphs, and the memos on them, die
+with it.
+
 The engine interns its input once: a plain ``Sequence[Interaction]``
 becomes a :class:`~repro.graph.columnar.ColumnarLog` in ``__init__``,
 and a ``ColumnarLog`` is used as is.  Every method therefore runs the
@@ -229,6 +241,10 @@ class MultiReplayEngine:
 
             window_rows = idx - lo
             window_view = _LogView(log, lo, idx)
+            # the window's graphs, built once for every method that
+            # repartitions on them (ReplayContext.window_graph); the
+            # dict, and every graph and memo in it, dies with the window
+            window_graphs: dict = {}
 
             # fan-out: placement, accounting and the window close for
             # each method.  Placement first, bulk accounting second —
@@ -275,6 +291,7 @@ class MultiReplayEngine:
                     log_hi=idx,
                     log_period_start=st.period_start,
                     stream=stream,
+                    window_graphs=window_graphs,
                 )
                 proposal = method.maybe_repartition(ctx)
                 if proposal is not None:

@@ -13,7 +13,19 @@ the reduced graph); the registry accepts both names.
 
 A cold run partitions the period's graph with unit vertex weights,
 collapsed to CSR by :func:`~repro.metis.graph.period_csr` straight from
-the log's rows (no ``WeightedDiGraph``).
+the log's rows (no ``WeightedDiGraph``).  The replay builds it once per
+window and row range for every method that reads it, from the
+``graph_batch`` aggregate KL reads too
+(:meth:`~repro.core.base.ReplayContext.window_graph`); cells whose
+periods start at the same row and whose ``run`` counters agree share
+their bisections through the graph's memo (:mod:`repro.metis.bisect`),
+as cold METIS's do.  A period starts and a run is counted only when a
+cell repartitions, and a period graph with fewer than k vertices
+repartitions nothing, so over a long history the k-cells drift apart
+as cold METIS's do.  On ``--scale small`` (24 h windows), P-METIS's
+k=2, 4 and 8 cells never all three repartition in one window; TR-METIS's
+do so in 12 of their 87 repartition windows, with one run number, and
+38 of its 411 bisections are served from the memo.
 
 Warm mode (``warm=True``, off by default): the reduced window graph is
 built straight from the dense index columns of the replay's
@@ -75,7 +87,9 @@ class RMetisPartitioner(PartitionMethod):
         """Partition the window graph; shared with TR-METIS."""
         if self.warm:
             return self._partition_window_warm(ctx)
-        window = period_csr(ctx.columnar_log, ctx.log_period_start, ctx.log_hi)
+        lo, hi = ctx.log_period_start, ctx.log_hi
+        window = ctx.window_graph(("period", lo, hi), lambda: period_csr(
+            ctx.columnar_log, lo, hi, batch=ctx.period_batch()))
         if window.num_vertices < self.k:
             return None
         self._run += 1

@@ -190,7 +190,8 @@ class CellResult:
         another format or algorithm stamp (an unstamped cell is format
         1), ``ValueError`` for one that contradicts its own key (a
         vertex listed twice, a shard outside ``[0, k)``, other than k
-        shard weights, a series for another k), and ``ValueError``,
+        shard weights, a series or an execution report for another k,
+        other than k utilization entries), and ``ValueError``,
         ``KeyError`` or ``TypeError`` for one that is not a cell at
         all.
         """
@@ -220,6 +221,16 @@ class CellResult:
                 f"cell {key.label} has {len(shard_weights)} shard weights for k={k}")
         if series["k"] != k:
             raise ValueError(f"cell {key.label} has a series for k={series['k']!r}")
+        report = None
+        if execution is not None:
+            report = ThroughputReport.from_dict(execution)
+            if report.k != k:
+                raise ValueError(
+                    f"cell {key.label} has an execution report for k={report.k}")
+            if len(report.utilization) != k:
+                raise ValueError(
+                    f"cell {key.label} has {len(report.utilization)} "
+                    f"utilization entries for k={k}")
         return cls(
             key=key,
             series=MetricSeries(
@@ -230,10 +241,7 @@ class CellResult:
             events=_rows(RepartitionEvent, data["events"], _EVENT_FIELDS),
             assignment=assignment,
             shard_weights=shard_weights,
-            execution=(
-                ThroughputReport.from_dict(execution)
-                if execution is not None else None
-            ),
+            execution=report,
         )
 
     @classmethod

@@ -5,9 +5,13 @@ adjacency in CSR (compressed sparse row) layout — the same representation
 METIS uses — because the coarsening and refinement inner loops touch
 every edge many times and dict-of-dict graphs are too slow for that.
 
-``CSRGraph`` is immutable after construction.  ``from_undirected``
-bridges from the domain-level :class:`~repro.graph.undirected.UndirectedView`
-and keeps the original-vertex-id mapping.
+``CSRGraph`` is immutable after construction: nothing writes to its
+arrays once a constructor has returned them, and nothing may.  The
+per-graph memos (:meth:`CSRGraph.memo`) depend on that rule: a result
+computed from a graph's arrays stays valid for as long as the graph
+lives.  ``from_undirected`` bridges from the domain-level
+:class:`~repro.graph.undirected.UndirectedView` and keeps the
+original-vertex-id mapping.
 
 One directed → undirected collapse loop (:func:`_collapse`) serves
 :meth:`CSRGraph.from_digraph`, :meth:`CSRGraph.from_graph_batch` (the
@@ -89,6 +93,21 @@ class CSRGraph:
 
     def weighted_degree(self, v: int) -> int:
         return sum(self.adjwgt[self.xadj[v] : self.xadj[v + 1]])
+
+    def memo(self, name: str) -> Dict:
+        """The graph's memo dict ``name``, created empty on first use:
+        the bisections :mod:`repro.metis.bisect` computed on the graph
+        (``"bisect"``) and the induced subgraphs
+        :func:`~repro.metis.kway.recursive_bisection` cut from it
+        (``"halves"``).
+
+        Memos are plain attributes, as the numpy backend's
+        ``_np_csr_cache`` is, not dataclass fields: they stay out of
+        ``==``, ``repr`` and ``dataclasses.asdict``, and they die with
+        the graph.  A memo entry is exact only because the arrays never
+        change; its key must name every other input of the computation.
+        """
+        return self.__dict__.setdefault("_memos", {}).setdefault(name, {})
 
     # ------------------------------------------------------------------
 
@@ -304,7 +323,9 @@ def _collapse(succ: List[Dict[int, int]]) -> Tuple[List[int], List[int], List[in
     return xadj, adjncy, adjwgt
 
 
-def period_csr(log: "ColumnarLog", start: int, stop: int) -> CSRGraph:
+def period_csr(
+    log: "ColumnarLog", start: int, stop: int, batch: Optional[tuple] = None,
+) -> CSRGraph:
     """CSR of the digraph of log rows ``[start, stop)``, with unit vertex
     weights: the period graph cold P-METIS/R-METIS/TR-METIS partition.
 
@@ -313,11 +334,15 @@ def period_csr(log: "ColumnarLog", start: int, stop: int) -> CSRGraph:
     ``collapse_to_undirected(..., unit_vertex_weights=True)`` →
     :meth:`CSRGraph.from_undirected` gives; built without the digraph,
     through the ``graph_batch`` → :meth:`CSRGraph.from_graph_batch`
-    bridge KL uses.
+    bridge KL uses.  ``batch`` is that ``graph_batch`` aggregate of the
+    rows when the caller already has it (the replay makes one per row
+    range per window, for KL and R-METIS alike).
     """
-    first_seen, _upgrades, edge_weights, _activity = kernels.active().graph_batch(
-        log.timestamps(), log.src_indices(), log.dst_indices(),
-        log.src_kind_codes(), log.dst_kind_codes(), start, stop)
+    if batch is None:
+        batch = kernels.active().graph_batch(
+            log.timestamps(), log.src_indices(), log.dst_indices(),
+            log.src_kind_codes(), log.dst_kind_codes(), start, stop)
+    first_seen, _upgrades, edge_weights, _activity = batch
     # no activity: every vertex weight floors to 1
     return CSRGraph.from_graph_batch(first_seen, edge_weights, {}, log.vertex_id)
 

@@ -5,6 +5,18 @@ recurse into each side on the induced subgraph, then run a direct k-way
 greedy refinement pass over the assembled partition to clean up seams
 between recursion branches.
 
+Each side's induced subgraph is memoised on the graph it was cut from
+(``graph.memo("halves")``, keyed by the side's vertex tuple), next to
+that graph's bisection memo (:mod:`repro.metis.bisect`).  A 4-way and
+an 8-way partition of one graph from one seed start with the same
+bisection, so both recurse into the same left-half object, and the
+8-way run's bisection of that half is the 4-way run's, served from the
+half's memo.  The memos are exact because a
+:class:`~repro.metis.graph.CSRGraph`'s arrays are never mutated after
+construction, and they live exactly as long as the graph: a replay's
+window graphs, with every half and bisection memoised on them, die
+when their window closes.
+
 :func:`warm_kway_partition` is the incremental entry: given a previous
 partition projected onto a grown graph (``-1`` marks vertices the
 previous run never saw), it places the new vertices by weighted
@@ -16,7 +28,7 @@ repartitioning.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro import kernels
 from repro.metis.bisect import multilevel_bisect
@@ -25,10 +37,19 @@ from repro.metis.graph import CSRGraph
 from repro.metis.refine import boundary_kway_refine, kway_refine
 
 
-def _induced_subgraph(
-    graph: CSRGraph, vertices: List[int]
-) -> Tuple[CSRGraph, List[int]]:
-    """Induced subgraph on ``vertices``; returns (subgraph, sub→orig map)."""
+def _induced_subgraph(graph: CSRGraph, vertices: List[int]) -> CSRGraph:
+    """Induced subgraph on ``vertices`` (its vertex ``i`` is
+    ``vertices[i]``), built once per vertex tuple and kept in
+    ``graph``'s ``"halves"`` memo (see the module docstring)."""
+    halves = graph.memo("halves")
+    key = tuple(vertices)
+    sub = halves.get(key)
+    if sub is None:
+        sub = halves[key] = _build_induced_subgraph(graph, vertices)
+    return sub
+
+
+def _build_induced_subgraph(graph: CSRGraph, vertices: List[int]) -> CSRGraph:
     index = {v: i for i, v in enumerate(vertices)}
     xadj = [0] * (len(vertices) + 1)
     adjncy: List[int] = []
@@ -41,10 +62,7 @@ def _induced_subgraph(
                 adjncy.append(index[u])
                 adjwgt.append(graph.adjwgt[j])
         xadj[i + 1] = len(adjncy)
-    return (
-        CSRGraph(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt),
-        vertices,
-    )
+    return CSRGraph(xadj=xadj, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt)
 
 
 def recursive_bisection(
@@ -104,22 +122,22 @@ def recursive_bisection(
         for v in side0:
             result[v] = 0
     else:
-        sub, orig = _induced_subgraph(graph, side0)
         sub_part = recursive_bisection(
-            sub, k0, targets[:k0], rng, ubfactor, coarsen_to, initial, ntrials
+            _induced_subgraph(graph, side0), k0, targets[:k0], rng,
+            ubfactor, coarsen_to, initial, ntrials,
         )
-        for i, v in enumerate(orig):
+        for i, v in enumerate(side0):
             result[v] = sub_part[i]
 
     if k1 == 1:
         for v in side1:
             result[v] = k0
     else:
-        sub, orig = _induced_subgraph(graph, side1)
         sub_part = recursive_bisection(
-            sub, k1, targets[k0:], rng, ubfactor, coarsen_to, initial, ntrials
+            _induced_subgraph(graph, side1), k1, targets[k0:], rng,
+            ubfactor, coarsen_to, initial, ntrials,
         )
-        for i, v in enumerate(orig):
+        for i, v in enumerate(side1):
             result[v] = k0 + sub_part[i]
     return result
 

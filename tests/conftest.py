@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import repro.metis.bisect as bisect_mod
 from repro.analysis.runner import ExperimentRunner
 from repro.ethereum.workload import WorkloadConfig, generate_history
 
@@ -39,3 +40,18 @@ def small_runner(small_workload):
 @pytest.fixture()
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture()
+def coarsened(monkeypatch):
+    """The graphs ``multilevel_bisect`` coarsens, one per bisection it
+    computes: a bisection served from a graph's memo coarsens nothing."""
+    graphs = []
+    coarsen = bisect_mod.coarsen
+
+    def recording(graph, *args, **kwargs):
+        graphs.append(graph)
+        return coarsen(graph, *args, **kwargs)
+
+    monkeypatch.setattr(bisect_mod, "coarsen", recording)
+    return graphs

@@ -5,6 +5,8 @@ stream must be *bit-identical* to N independent single-method replays,
 while streaming the log (and folding its stream state) exactly once.
 """
 
+import weakref
+
 import pytest
 
 from repro import kernels
@@ -16,6 +18,7 @@ from repro.errors import InvalidPartitionError
 from repro.graph.builder import Interaction
 from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import HOUR
+from repro.metis.graph import CSRGraph
 
 ALL_METHODS = ["hash", "kl", "metis", "p-metis", "tr-metis", "fennel"]
 
@@ -252,3 +255,81 @@ class TestOneShardMap:
 
         with pytest.raises(InvalidPartitionError, match="unplaced"):
             MultiReplayEngine(log_of([(1, 2)]), [Lazy(2)], metric_window=10.0).run()
+
+
+class TestWindowGraphs:
+    """Methods of one window read one graph object per graph, and the
+    bisections computed on it are shared through its memo."""
+
+    def test_metis_shard_counts_share_bisections(self, tiny_workload, coarsened):
+        log = tiny_workload.builder.log
+        together = MultiReplayEngine(
+            log, [make_method("metis", k, seed=3) for k in (2, 4, 8)],
+            metric_window=24 * HOUR,
+        ).run()
+        shared = len(coarsened)
+        alone = [
+            ReplayEngine(log, make_method("metis", k, seed=3),
+                         metric_window=24 * HOUR).run()
+            for k in (2, 4, 8)
+        ]
+        # four repartitions, each 1 + 3 + 7 bisections when replayed
+        # alone; together k=4 reuses k=2's top bisection and k=8 reuses
+        # it and k=4's left half: 1 + 2 + 5 per repartition
+        assert [len(r.events) for r in together] == [4, 4, 4]
+        assert (shared, len(coarsened) - shared) == (32, 44)
+        for single, multi in zip(alone, together):
+            assert_results_identical(single, multi)
+
+    def test_kl_and_pmetis_share_the_period_aggregate(self, tiny_workload, monkeypatch):
+        kr = kernels.active()
+        calls = []
+        graph_batch = kr.graph_batch
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return graph_batch(*args)
+
+        monkeypatch.setattr(kr, "graph_batch", counting)
+
+        def replay(*names):
+            calls.clear()
+            MultiReplayEngine(
+                tiny_workload.builder.log,
+                [make_method(name, 2, seed=1) for name in names],
+                metric_window=24 * HOUR,
+            ).run()
+            return list(calls)
+
+        apart = replay("kl") + replay("p-metis")
+        together = replay("kl", "p-metis")
+        # one call per row range and window: the ranges both methods
+        # read in one window are aggregated once
+        assert set(together) == set(apart)
+        assert (len(together), len(apart)) == (4, 8)
+
+    def test_window_graphs_die_with_their_window(self, tiny_workload):
+        refs = []
+
+        class Watcher(StaticMethod):
+            def maybe_repartition(self, ctx):
+                # every graph of an earlier window, with the halves
+                # memoised on it, is gone before the next window's offer
+                alive = {window for window, ref in refs if ref() is not None}
+                assert not alive, f"graphs of windows {alive} outlived them"
+                for graph in ctx.window_graphs.values():
+                    if isinstance(graph, CSRGraph):
+                        refs.append((ctx.now, weakref.ref(graph)))
+                        refs.extend((ctx.now, weakref.ref(half))
+                                    for half in graph.memo("halves").values())
+                return None
+
+        methods = [make_method(name, 4, seed=1) for name in ("metis", "p-metis", "kl")]
+        MultiReplayEngine(
+            tiny_workload.builder.log, [*methods, Watcher(4)],
+            metric_window=24 * HOUR,
+        ).run()
+        # the stream CSR, the period CSR and KL's in each of the four
+        # repartition windows, and the halves of the two 4-way partitions
+        assert len({window for window, _ in refs}) == 4
+        assert len(refs) == 4 * (3 + 2 * 2)

@@ -56,6 +56,19 @@ class TestBitIdentity:
             assert cell.shard_weights == legacy.assignment.weights
             assert cell.total_moves == legacy.total_moves
 
+    def test_cells_equal_the_cell_replayed_alone(self, tiny_workload):
+        """Cells of one shared pass share each window's graphs and the
+        bisections memoised on them; each still equals, byte for byte,
+        the cell replayed on its own."""
+        spec = ExperimentSpec(
+            scale="tiny", workload_seed=42,
+            methods=("kl", "metis", "p-metis", "tr-metis"), ks=(2, 4, 8),
+        )
+        together = run_experiment(spec, workload=tiny_workload)
+        for key in spec.cells():
+            alone = run_experiment(spec, workload=tiny_workload, only=[key])
+            assert alone.cell(key).text == together.cell(key).text, key.label
+
     def test_matches_legacy_runner_grid(self, paper_spec, paper_rs, tiny_workload):
         """...and the runner facade returns the same data per cell."""
         from repro.analysis.runner import ExperimentRunner
@@ -305,6 +318,36 @@ class TestResume:
         assert outcomes == {key: "computed"}
         assert store.declined == {"corrupt": 1}
         assert store.load(spec, key) is not None  # the file was rewritten
+
+    @pytest.mark.parametrize("edit", ["report_for_other_k", "utilization_for_other_k"])
+    def test_store_declines_execution_report_inconsistent_with_its_key(
+            self, edit, tiny_workload, tmp_path):
+        """A cell whose execution report describes another shard count
+        is corrupt: it is recomputed, never served."""
+        spec = ExperimentSpec(
+            scale="tiny", methods=("hash",), ks=(2,), execution="mode=2pc")
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        first = run_experiment(spec, workload=tiny_workload, store=store)
+        path = store.cell_path(spec, key)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if edit == "report_for_other_k":
+            data["execution"]["k"] = 5
+        else:
+            data["execution"]["utilization"] *= 2
+        text = json.dumps(data)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(key.label)):
+            CellResult.from_json(text)
+
+        outcomes = {}
+        rs = run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "computed"}
+        assert store.declined == {"corrupt": 1}
+        assert rs == first
 
     def test_format1_cell_is_recomputed_and_counted(
             self, paper_spec, paper_rs, tiny_workload, tmp_path, format1_cell):
