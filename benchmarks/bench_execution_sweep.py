@@ -30,7 +30,6 @@ from repro.analysis.execution import (
 )
 from repro.analysis.render import ascii_table
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 from tests.sharding.closure_engine import ClosureExecution
@@ -52,7 +51,7 @@ def _best_of(fn, rounds=3):
 
 @pytest.mark.benchmark(group="execution-sweep")
 def test_execution_sweep_from_trace(runner, out_dir, tmp_path):
-    log = ColumnarLog.from_interactions(runner.workload.builder.log)
+    log = runner.workload.builder.log
     trace = tmp_path / "bench.rct"
     write_columnar(log, trace, version=3)
 

@@ -21,12 +21,10 @@ Two claims are enforced here, matching the kernel layer's contract
   split lands in ``benchmarks/out/paper_scale_sweep.txt``.
 
 Timing gates follow the house rule: asserted when the scale is
-``medium``/``large`` or ``REPRO_BENCH_STRICT`` is set (single-round
-small-scale timings on shared runners are noise); the measured table
-is always written.
+``medium``/``large`` (single-round small-scale timings on shared
+runners are noise); the measured table is always written.
 """
 
-import os
 import time
 from array import array
 
@@ -50,9 +48,7 @@ SWEEP_KS = (2, 4, 8)
 
 
 def _gating(bench_scale: str) -> bool:
-    return bench_scale in ("medium", "large") or bool(
-        os.environ.get("REPRO_BENCH_STRICT")
-    )
+    return bench_scale in ("medium", "large")
 
 
 def _best_of(fn, reps: int = 5) -> float:
@@ -124,7 +120,7 @@ def _micro_loops(clog: ColumnarLog):
 
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_micro_gates(runner, bench_scale, out_dir):
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.builder.log
     loops = _micro_loops(clog)
     backends = [b for b in kernels.available_backends() if b != "pure"]
 
@@ -174,7 +170,7 @@ def test_paper_scale_sweep(runner, bench_scale, out_dir, tmp_path):
     per-backend grid totals.
     """
     trace = tmp_path / f"sweep_{bench_scale}.rct"
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.builder.log
     write_columnar(clog, trace, version=3)
     spec = ExperimentSpec(
         methods=SWEEP_METHODS, ks=SWEEP_KS, window_hours=24.0,

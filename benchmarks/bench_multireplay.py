@@ -15,7 +15,6 @@ sharing can remove — so the paper set's speedup is bounded by its
 streaming share; the artifact records both sets.
 """
 
-import os
 import time
 
 import pytest
@@ -88,14 +87,3 @@ def test_single_pass_beats_independent_replays(benchmark, runner, out_dir):
             title="MULTIREPLAY — one shared pass vs independent replays",
         ),
     )
-
-    # the streaming set is pure replay-path cost: the shared pass wins
-    # clearly (measured ~1.9x vs the current single engine and ~2.2x
-    # vs the pre-multireplay engine).  The wall-clock assertion is
-    # opt-in: a single-round timing check on a noisy shared CI runner
-    # would fail pushes spuriously, so CI gates only on equivalence
-    # (checked above) and the numbers land in the artifact.
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        assert t_multi < t_single / 1.25, (
-            f"single-pass replay not faster: {t_multi:.3f}s vs {t_single:.3f}s"
-        )

@@ -13,7 +13,6 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import ascii_table
-from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 K = 4
@@ -21,7 +20,7 @@ K = 4
 
 @pytest.mark.benchmark(group="state-migration")
 def test_2pc_vs_migrate(benchmark, runner, out_dir):
-    log = ColumnarLog(runner.workload.builder.log)
+    log = runner.workload.builder.log
     lo, hi = max(0, len(log) - 8000), len(log)  # the workload tail
     state = runner.workload.state
 

@@ -8,13 +8,13 @@ the binary data layer.  Measured here on the same logical log:
   columns + per-section zlib framing), plus the chunked streaming
   writer's output (asserted byte-identical to the in-memory writer);
 * open time — mmap-open of v2, streaming decode of v3 (with and
-  without the verification pass), against regenerate-and-box;
+  without the verification pass), against regenerate;
 * equivalence — a two-method sweep from the v3 trace is cell-for-cell
   identical to the same sweep from v2 and from the synthetic source,
   including the jobs=2 decode-per-worker path.
 
 Acceptance gates: v3 <= 0.6x the v2 bytes, and v3 open >= 10x faster
-than regenerate-and-box.  Artifact: ``benchmarks/out/trace_compress.txt``.
+than regenerate.  Artifact: ``benchmarks/out/trace_compress.txt``.
 """
 
 import time
@@ -26,7 +26,6 @@ from repro.analysis.render import ascii_table
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.source import config_for_scale
 from repro.ethereum.workload import generate_history
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import ChunkedTraceWriter, load_columnar, write_columnar
 
 SWEEP_METHODS = ("hash", "fennel")
@@ -52,7 +51,7 @@ def test_v3_compression_and_open_time(bench_scale, out_dir, tmp_path):
 
     t0 = time.perf_counter()
     workload = generate_history(cfg)
-    log = ColumnarLog(workload.builder.log)
+    log = workload.builder.log
     t_generate = time.perf_counter() - t0
 
     v2_path = tmp_path / "trace_v2.rct"
@@ -102,7 +101,7 @@ def test_v3_compression_and_open_time(bench_scale, out_dir, tmp_path):
          f"{ratio:.3f}x", "byte-identical"),
     ]
     open_rows = [
-        ("regenerate-and-box (EVM replay)", f"{t_generate * 1e3:9.1f}", "1.0x"),
+        ("regenerate (EVM replay)", f"{t_generate * 1e3:9.1f}", "1.0x"),
         ("binary v2 mmap open (verify)", f"{t_v2 * 1e3:9.1f}",
          f"{t_generate / t_v2:.0f}x"),
         ("binary v3 decode (verify)", f"{t_v3 * 1e3:9.1f}",

@@ -1,18 +1,18 @@
-"""TRACE-IO — binary mmap load vs text parse vs regenerate-and-box.
+"""TRACE-IO — binary mmap load vs text parse vs regenerate.
 
 The point of the rctrace v2 format: opening the workload should cost
 an ``mmap`` plus verification, not an EVM-lite re-execution of the
 whole history (regenerate) or a float-parse of every line (text v1).
 Measured here, per source, on the same logical log:
 
-* regenerate-and-box — ``generate_history`` + ``ColumnarLog`` (what
-  every sweep paid per process before trace-backed sources);
+* regenerate — ``generate_history``, whose log is a ``ColumnarLog``
+  (what every sweep paid per process before trace-backed sources);
 * text v1 parse — ``ColumnarLog(read_trace(path))``;
 * binary v2 load — ``load_columnar(path)`` with and without the
   verification pass.
 
 The acceptance gate asserts binary load is >= 10x faster than
-regenerate-and-box.  A second scenario times a cold-start (store-miss)
+regenerate.  A second scenario times a cold-start (store-miss)
 two-method sweep end to end from each source via ``run_experiment``,
 including the jobs=2 mmap-per-worker path.  Artifact:
 ``benchmarks/out/trace_io.txt``.
@@ -51,7 +51,7 @@ def test_trace_load_vs_regenerate(bench_scale, out_dir, tmp_path):
 
     t0 = time.perf_counter()
     workload = generate_history(cfg)
-    log = ColumnarLog(workload.builder.log)
+    log = workload.builder.log
     t_generate = time.perf_counter() - t0
 
     text_path = tmp_path / "trace.txt"
@@ -90,7 +90,7 @@ def test_trace_load_vs_regenerate(bench_scale, out_dir, tmp_path):
 
     speedup = t_generate / t_bin if t_bin else float("inf")
     rows = [
-        ("regenerate-and-box (EVM replay)", f"{t_generate * 1e3:9.1f}", "1.0x"),
+        ("regenerate (EVM replay)", f"{t_generate * 1e3:9.1f}", "1.0x"),
         ("text v1 parse", f"{t_text * 1e3:9.1f}",
          f"{t_generate / t_text:.1f}x"),
         ("binary v2 mmap load (verify)", f"{t_bin * 1e3:9.1f}",

@@ -17,12 +17,11 @@ attacks it, period by period over the benchmark timeline:
 Correctness is asserted unconditionally: ``warm_start=None`` stays
 bit-identical to the plain cold call, warm assignments cover every
 vertex within the balance tolerance, and quality (edge cut) stays in
-the cold path's ballpark.  Timing assertions are opt-in via
-``REPRO_BENCH_STRICT`` (single-round timings on shared CI runners are
-noisy); the measured numbers land in ``benchmarks/out/warm_metis.txt``.
+the cold path's ballpark.  Timings are measured, not asserted (the
+timing harness is ``perfbench/``); the numbers land in
+``benchmarks/out/warm_metis.txt``.
 """
 
-import os
 import time
 
 import pytest
@@ -61,7 +60,7 @@ def _period_bounds(clog: ColumnarLog):
 
 @pytest.mark.benchmark(group="warm-metis")
 def test_warm_repartitioning_beats_cold(runner, out_dir):
-    clog = ColumnarLog(runner.workload.builder.log)
+    clog = runner.workload.builder.log
     bounds = _period_bounds(clog)
     assert len(bounds) >= 3, "benchmark timeline too short for periods"
 
@@ -156,20 +155,15 @@ def test_warm_repartitioning_beats_cold(runner, out_dir):
     )
     write_artifact(out_dir, "warm_metis.txt", table + summary)
 
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        assert mean_speedup >= 1.5, (
-            f"warm repartitioning not >=1.5x faster: {mean_speedup:.2f}x"
-        )
-
 
 @pytest.mark.benchmark(group="warm-metis")
 def test_columnar_csr_beats_digraph_rebuild(runner, out_dir):
     """The dense-index CSR build vs the digraph→collapse→CSR pipeline."""
-    log = runner.workload.builder.log
-    clog = ColumnarLog(log)
+    clog = runner.workload.builder.log
+    rows = clog.to_interactions()
 
     t0 = time.perf_counter()
-    g = build_graph(log)
+    g = build_graph(rows)
     und = collapse_to_undirected(g, unit_vertex_weights=True)
     csr_old = CSRGraph.from_undirected(und)
     t_digraph = time.perf_counter() - t0
@@ -206,6 +200,3 @@ def test_columnar_csr_beats_digraph_rebuild(runner, out_dir):
         ),
     )
     write_artifact(out_dir, "warm_metis_csr_build.txt", table)
-
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        assert t_columnar < t_digraph

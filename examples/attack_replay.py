@@ -46,8 +46,8 @@ def main() -> None:
         method = make_method(name, k=2, seed=1)
         results[name] = replay_method(log, method, metric_window=24 * HOUR)
 
-    span_start = log[0].timestamp
-    span_end = log[-1].timestamp
+    span_start = log.first_timestamp
+    span_end = log.last_timestamp
     quarter = 91 * DAY
     print(f"\n{'quarter':>10s}  {'METIS dyn-bal':>14s}  {'R-METIS dyn-bal':>16s}")
     t = span_start

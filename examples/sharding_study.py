@@ -14,7 +14,6 @@ Run:  python examples/sharding_study.py
 """
 
 from repro import (
-    ColumnarLog,
     WorkloadConfig,
     generate_history,
     make_method,
@@ -29,7 +28,7 @@ K = 4
 def main() -> None:
     print("generating history...")
     history = generate_history(WorkloadConfig.small(seed=3))
-    log = ColumnarLog(history.builder.log)
+    log = history.builder.log
     lo, hi = max(0, len(log) - 15_000), len(log)  # the busy tail of the history
     cfg = ShardedExecutionConfig()
 

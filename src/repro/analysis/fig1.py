@@ -28,41 +28,39 @@ class GrowthPoint:
 
 
 def compute_fig1(workload: WorkloadResult, sample_days: float = 30.0) -> List[GrowthPoint]:
-    """Cumulative graph size sampled every ``sample_days``."""
+    """Cumulative graph size sampled every ``sample_days``.
+
+    One pass over the log's columns: interning is in first-appearance
+    order, so the number of distinct vertices after a row is that row's
+    running maximum dense index + 1.
+    """
     log = workload.builder.log
     if not log:
         return []
     points: List[GrowthPoint] = []
-    seen_vertices: Set[int] = set()
+    step = sample_days * DAY
     seen_edges: Set[Tuple[int, int]] = set()
+    max_index = -1
     interactions = 0
 
-    next_sample = log[0].timestamp + sample_days * DAY
-    for it in log:
-        while it.timestamp >= next_sample:
-            points.append(
-                GrowthPoint(
-                    ts=next_sample,
-                    label=month_label(next_sample),
-                    vertices=len(seen_vertices),
-                    edges=len(seen_edges),
-                    interactions=interactions,
-                )
-            )
-            next_sample += sample_days * DAY
-        seen_vertices.add(it.src)
-        seen_vertices.add(it.dst)
-        seen_edges.add((it.src, it.dst))
-        interactions += 1
-    points.append(
-        GrowthPoint(
-            ts=next_sample,
-            label=month_label(next_sample),
-            vertices=len(seen_vertices),
+    def sample(ts: float) -> GrowthPoint:
+        return GrowthPoint(
+            ts=ts,
+            label=month_label(ts),
+            vertices=max_index + 1,
             edges=len(seen_edges),
             interactions=interactions,
         )
-    )
+
+    next_sample = log.first_timestamp + step
+    for ts, src, dst in zip(log.timestamps(), log.src_indices(), log.dst_indices()):
+        while ts >= next_sample:
+            points.append(sample(next_sample))
+            next_sample += step
+        max_index = max(max_index, src, dst)
+        seen_edges.add((src, dst))
+        interactions += 1
+    points.append(sample(next_sample))
     return points
 
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.ethereum.history import date_to_ts
 from repro.ethereum.workload import WorkloadResult
-from repro.graph.builder import build_graph
+from repro.graph.builder import build_graph_columnar
 from repro.graph.digraph import VertexKind, WeightedDiGraph
 
 
@@ -43,9 +43,8 @@ def compute_fig2(
 
     if cutoff_ts is None:
         cutoff_ts = date_to_ts(datetime.date(2015, 10, 1))
-    early = build_graph(
-        workload.builder.interactions_between(float("-inf"), cutoff_ts)
-    )
+    log = workload.builder.log
+    early = build_graph_columnar(log, 0, log.index_at(cutoff_ts))
     hub = None
     best = -1
     for v in early.vertices():

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.render import ascii_table
 from repro.analysis.runner import ExperimentRunner
 from repro.core.registry import PAPER_ORDER
-from repro.graph.columnar import ColumnarLog
 from repro.sharding.coordinator import ShardedExecution, ShardedExecutionConfig
 
 
@@ -43,11 +42,7 @@ def compute_pitfall(
     """Throughput table for each method's final assignment at shard
     count ``k``, normalised to the single-shard baseline."""
     cfg = config or ShardedExecutionConfig()
-    # synthetic runners hold a boxed log, trace-backed ones a
-    # ColumnarLog; intern once and execute the tail rows [lo, n)
     log = runner.log
-    if not isinstance(log, ColumnarLog):
-        log = ColumnarLog(log)
     n = len(log)
     lo = max(0, n - max_interactions)
 
@@ -100,14 +95,10 @@ def compute_pitfall(
 
 
 def _vertex_universe(runner: ExperimentRunner) -> List[int]:
-    """Every vertex id of the replayed history.
-
-    Synthetic runners read the workload graph (first-insertion order —
-    unchanged, so seeded random assignments stay reproducible);
-    trace-backed runners read the log's interned vertex table.
-    """
-    if runner.source is None:
-        return list(runner.workload.graph.vertices())
+    """Every vertex id of the replayed history, from the log's interned
+    vertex table: first-appearance order, the order the cumulative
+    graph inserts them in, so seeded random assignments stay
+    reproducible."""
     return list(runner.log.vertex_ids())
 
 

@@ -109,13 +109,14 @@ class ExperimentRunner:
 
     @property
     def log(self):
-        """The interaction log replays stream (memoised).
+        """The :class:`~repro.graph.columnar.ColumnarLog` replays
+        stream (memoised).
 
         For trace-backed runners this opens the trace once (an O(1)
         mmap for binary rctrace files); otherwise it is the synthetic
-        workload's boxed log.  A preloaded
-        :class:`~repro.graph.columnar.ColumnarLog` can be injected by
-        assigning ``runner._log`` (mirrors ``runner._workload``).
+        workload's log (``workload.builder.log``).  A preloaded log can
+        be injected by assigning ``runner._log`` (mirrors
+        ``runner._workload``).
         """
         if self._log is None:
             if self.source is not None:

@@ -149,7 +149,7 @@ def _stats(args) -> int:
         render_trace_stats,
         render_window_stats,
     )
-    from repro.graph.builder import build_graph
+    from repro.graph.builder import build_graph_columnar
     from repro.graph.io import load_trace_log, trace_version
 
     try:
@@ -162,7 +162,7 @@ def _stats(args) -> int:
     if not len(log):
         print("trace is empty", file=sys.stderr)
         return 1
-    graph = build_graph(log)
+    graph = build_graph_columnar(log)
     print(f"[{args.path}: {fmt} format (rctrace v{version}), "
           f"{len(log)} records]")
     print(render_trace_stats(compute_trace_stats(graph, log)))

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Seque
 from repro import kernels
 from repro.core.assignment import ShardAssignment
 from repro.core.placement import min_cut_shard, place_by_min_cut
-from repro.graph.builder import Interaction, build_graph_columnar
+from repro.graph.builder import build_graph_columnar
 from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
 from repro.kernels import StreamState
@@ -46,11 +46,8 @@ class ReplayContext:
             they return proposed mappings instead).
         graph: the cumulative blockchain graph of rows
             ``[0, log_hi)`` (built on first access).
-        window_interactions: interactions of the window just processed.
-        period_interactions: interactions since the last repartitioning
-            (the R-METIS / TR-METIS / KL input).
-        period_graph: graph of ``period_interactions`` (built on first
-            access).
+        period_graph: graph of the rows since the last repartitioning,
+            ``[log_period_start, log_hi)`` (built on first access).
         last_repartition_ts: when the last repartitioning happened
             (genesis if never).
         window_dynamic_edge_cut: dynamic edge-cut of the window just
@@ -59,15 +56,17 @@ class ReplayContext:
             processed (TR-METIS trigger input).
         rng: the method's own seeded RNG.
         columnar_log: the :class:`ColumnarLog` the replay streams (the
-            engine interns every input into one).  Methods that consume
-            dense vertex indices (warm-started METIS, the KL bridge)
-            read its columns directly instead of rebuilding graphs from
-            ``graph`` / ``period_interactions``.
+            engine interns every input into one).  Its rows are the
+            only form of the log a method sees: the window's rows are
+            ``columnar_log[log_window_start:log_hi]``, the period's
+            (the R-METIS / TR-METIS / KL input)
+            ``columnar_log[log_period_start:log_hi]``, and methods that
+            consume dense vertex indices (warm-started METIS, the KL
+            bridge) read its columns over those ranges directly.
         log_hi: rows ``[0, log_hi)`` of ``columnar_log`` are exactly
             the interactions replayed so far.
-        log_period_start: first row of the current repartition period;
-            rows ``[log_period_start, log_hi)`` are
-            ``period_interactions``.
+        log_window_start: first row of the window just processed.
+        log_period_start: first row of the current repartition period.
         stream: the engine's :class:`~repro.kernels.StreamState`, the
             dense cumulative graph cold METIS partitions.  The engine
             keeps growing it, so it describes rows ``[0, log_hi)`` only
@@ -83,14 +82,13 @@ class ReplayContext:
     now: float
     k: int
     assignment: ShardAssignment
-    window_interactions: Sequence[Interaction]
-    period_interactions: Sequence[Interaction]
     last_repartition_ts: float
     window_dynamic_edge_cut: float
     window_dynamic_balance: float
     rng: random.Random
     columnar_log: ColumnarLog
     log_hi: int
+    log_window_start: int
     log_period_start: int
     stream: StreamState
     window_graphs: Dict[Hashable, Any] = dataclasses.field(

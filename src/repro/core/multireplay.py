@@ -45,10 +45,12 @@ with it.
 
 The engine interns its input once: a plain ``Sequence[Interaction]``
 becomes a :class:`~repro.graph.columnar.ColumnarLog` in ``__init__``,
-and a ``ColumnarLog`` is used as is.  Every method therefore runs the
-same columnar code whatever the caller passed: window boundaries
-resolve by bisect, rows materialise lazily one window at a time, and
-warm METIS, the KL bridge and the period graph read the dense columns.
+and a ``ColumnarLog`` (what the workload generator and the trace
+loaders produce) is used as is.  Every method therefore runs the same
+columnar code whatever the caller passed: window boundaries resolve by
+bisect, a context names the window's and the period's rows as row
+ranges of the one log, and warm METIS, the KL bridge and the period
+graph read the dense columns.
 
 This engine is the execution substrate of the declarative experiment
 API: :func:`repro.experiments.run.run_experiment` plans a (method × k
@@ -72,43 +74,6 @@ from repro.graph.columnar import ColumnarLog
 from repro.graph.snapshot import METRIC_WINDOW
 from repro.kernels import StreamState
 from repro.metrics.series import MetricPoint, MetricSeries
-
-
-class _LogView(Sequence):
-    """Zero-copy, immutable view of ``log[start:stop]``.
-
-    Period buffers always cover a contiguous suffix of the streamed
-    log (they reset only at window boundaries), so every method's
-    ``period_interactions`` can share the one log instead of holding
-    its own boxed copy — rows of the :class:`ColumnarLog` underneath
-    materialise only when a method actually reads them.
-    """
-
-    __slots__ = ("_log", "_start", "_stop")
-
-    def __init__(self, log, start: int, stop: int):
-        self._log = log
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self):
-        log = self._log
-        for i in range(self._start, self._stop):
-            yield log[i]
-
-    def __getitem__(self, i):
-        n = self._stop - self._start
-        if isinstance(i, slice):
-            start, stop, step = i.indices(n)
-            return [self._log[self._start + j] for j in range(start, stop, step)]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return self._log[self._start + i]
 
 
 class _MethodState:
@@ -240,7 +205,6 @@ class MultiReplayEngine:
                 group_inputs.append((new_dense, endpoints))
 
             window_rows = idx - lo
-            window_view = _LogView(log, lo, idx)
             # the window's graphs, built once for every method that
             # repartitions on them (ReplayContext.window_graph); the
             # dict, and every graph and memo in it, dies with the window
@@ -281,14 +245,13 @@ class MultiReplayEngine:
                     now=window_end,
                     k=k,
                     assignment=assignment,
-                    window_interactions=window_view,
-                    period_interactions=_LogView(log, st.period_start, idx),
                     last_repartition_ts=st.last_repartition_ts,
                     window_dynamic_edge_cut=dyn_cut,
                     window_dynamic_balance=dyn_balance,
                     rng=method.rng,
                     columnar_log=log,
                     log_hi=idx,
+                    log_window_start=lo,
                     log_period_start=st.period_start,
                     stream=stream,
                     window_graphs=window_graphs,

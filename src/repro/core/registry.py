@@ -15,7 +15,7 @@ an opaque ``TypeError`` from the factory.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import PartitionMethod
 from repro.core.fennel import FennelPartitioner
@@ -96,6 +96,13 @@ def method_accepts_any_params(name: str) -> bool:
         p.kind is inspect.Parameter.VAR_KEYWORD
         for p in inspect.signature(_resolve(name)).parameters.values()
     )
+
+
+def result_name(name: str) -> Optional[str]:
+    """The method name a replay of the named method records in its
+    results: the factory's ``name`` (``"r-metis"`` for ``p-metis``),
+    or None for a factory without one."""
+    return getattr(_resolve(name), "name", None)
 
 
 def _resolve(name: str) -> Callable[..., PartitionMethod]:

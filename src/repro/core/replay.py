@@ -124,9 +124,10 @@ class ReplayEngine:
         end_ts: Optional[float] = None,
     ):
         """Args:
-            interactions: the full, time-ordered interaction log (e.g.
-                ``workload_result.builder.log``) or a
-                :class:`~repro.graph.columnar.ColumnarLog`.
+            interactions: the full, time-ordered interaction log: a
+                :class:`~repro.graph.columnar.ColumnarLog` (e.g.
+                ``workload_result.builder.log`` or a loaded trace) or a
+                plain sequence of interactions.
             method: the partitioning method under study.
             metric_window: sampling window width in seconds (paper: 4h).
             end_ts: replay horizon; defaults to just past the last

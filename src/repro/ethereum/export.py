@@ -9,13 +9,13 @@ rows) — and streams the interaction log straight into a binary
 rctrace file through :class:`~repro.graph.io.ChunkedTraceWriter`.
 
 Nothing log-sized is ever materialised: the generator's
-``interaction_sink`` hook bypasses the boxed
-:class:`~repro.graph.builder.GraphBuilder` log and cumulative graph,
-and the chunked writer encodes/spills columns every ``chunk_rows``
-rows, so peak memory is O(chain state + chunk + vertex-intern table)
-regardless of trace length.  The emitted file is byte-identical to
-``write_columnar(ColumnarLog(generate_history(cfg).builder.log),
-path, version=...)`` — asserted in ``tests/ethereum/test_workload.py``.
+``interaction_sink`` hook bypasses the
+:class:`~repro.graph.builder.GraphBuilder` log, and the chunked writer
+encodes/spills columns every ``chunk_rows`` rows, so peak memory is
+O(chain state + chunk + vertex-intern table) regardless of trace
+length.  The emitted file is byte-identical to
+``write_columnar(generate_history(cfg).builder.log, path,
+version=...)`` — asserted in ``tests/ethereum/test_workload.py``.
 
 Typical pipeline (see README "Trace datasets")::
 

@@ -28,6 +28,7 @@ come out of the message-call traces, never from shortcuts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -40,6 +41,7 @@ from repro.ethereum.trace import TransactionTrace
 from repro.ethereum.transaction import Transaction
 from repro.ethereum.types import Address, Wei
 from repro.graph.builder import GraphBuilder, Interaction
+from repro.graph.digraph import WeightedDiGraph
 from repro.graph.snapshot import DAY, HOUR
 
 
@@ -127,7 +129,8 @@ class WorkloadConfig:
         memory: drive it through
         :func:`repro.ethereum.export.export_workload_trace`, which
         streams interactions into a chunked rctrace writer instead of
-        boxing them in a :class:`~repro.graph.builder.GraphBuilder`.
+        appending them to the :class:`~repro.graph.builder.GraphBuilder`
+        log.
         """
         return cls(seed=seed, total_transactions=2_000_000, step_hours=1.0)
 
@@ -155,8 +158,10 @@ class WorkloadResult:
     builder: GraphBuilder
     chain: Blockchain
 
-    @property
-    def graph(self):
+    @functools.cached_property
+    def graph(self) -> WeightedDiGraph:
+        """The cumulative graph of the whole history (built on first
+        read; the log does not grow after :meth:`WorkloadGenerator.run`)."""
         return self.builder.graph
 
     @property
@@ -205,12 +210,12 @@ class WorkloadGenerator:
 
     ``interaction_sink`` redirects the generated interaction stream:
     when set, every interaction is handed to the callable (in time
-    order) *instead of* being accumulated in :attr:`builder`, so the
-    generator runs in bounded memory — chain state and community
-    registries only, no boxed log, no cumulative graph.  The stream is
-    identical either way: the sink replaces only the storage, never
-    the RNG-driven generation path.  This is the Ethereum-scale trace
-    ingestion hook (:func:`repro.ethereum.export.export_workload_trace`).
+    order) *instead of* being appended to the log of :attr:`builder`,
+    so the generator runs in bounded memory — chain state and community
+    registries only, no log.  The stream is identical either way: the
+    sink replaces only the storage, never the RNG-driven generation
+    path.  This is the Ethereum-scale trace ingestion hook
+    (:func:`repro.ethereum.export.export_workload_trace`).
     """
 
     def __init__(

@@ -45,6 +45,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.assignment import ShardAssignment
 from repro.core.base import RepartitionEvent
+from repro.core.registry import result_name
 from repro.core.replay import ReplayResult
 from repro.errors import StaleResultError
 from repro.experiments.spec import CellKey, ExperimentSpec, MethodSpec
@@ -191,9 +192,10 @@ class CellResult:
         1), ``ValueError`` for one that contradicts its own key (a
         vertex listed twice, a shard outside ``[0, k)``, other than k
         shard weights, a series or an execution report for another k,
-        other than k utilization entries), and ``ValueError``,
-        ``KeyError`` or ``TypeError`` for one that is not a cell at
-        all.
+        other than k utilization entries, a series named for another
+        method than the key's, as the registry names it), and
+        ``ValueError``, ``KeyError`` or ``TypeError`` for one that is
+        not a cell at all.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a cell is a JSON object, not {type(data).__name__}")
@@ -221,6 +223,10 @@ class CellResult:
                 f"cell {key.label} has {len(shard_weights)} shard weights for k={k}")
         if series["k"] != k:
             raise ValueError(f"cell {key.label} has a series for k={series['k']!r}")
+        method = result_name(key.method.name)
+        if method is not None and series["method"] != method:
+            raise ValueError(
+                f"cell {key.label} has a series for method {series['method']!r}")
         report = None
         if execution is not None:
             report = ThroughputReport.from_dict(execution)

@@ -9,13 +9,13 @@ callee) occurred.
 Public surface:
 
 * :class:`~repro.graph.digraph.WeightedDiGraph` — the graph container;
-* :class:`~repro.graph.builder.GraphBuilder` — incremental construction
-  from interaction streams;
-* :class:`~repro.graph.columnar.ColumnarLog` — parallel-array log with
-  interned vertex ids and O(log N) window slicing (the multi-method
-  replay substrate);
-* :class:`~repro.graph.snapshot.WindowIndex` — time-window views
-  (full/cumulative and reduced/window graphs used by METIS vs R-METIS);
+* :class:`~repro.graph.columnar.ColumnarLog` — the interaction log:
+  parallel arrays with interned vertex ids and O(log N) window slicing,
+  written by the workload generator and read by every consumer;
+* :class:`~repro.graph.builder.GraphBuilder` — the holder of a
+  generated history's ``ColumnarLog``; graphs of any row range of the
+  log (cumulative for METIS, a window for R-METIS) come from
+  :func:`~repro.graph.builder.build_graph_columnar`;
 * :mod:`~repro.graph.undirected` — collapse to the weighted undirected
   graph fed to partitioners;
 * :mod:`~repro.graph.io` — trace readers/writers in the paper's published
@@ -26,7 +26,6 @@ Public surface:
 from repro.graph.digraph import VertexKind, WeightedDiGraph
 from repro.graph.builder import GraphBuilder, Interaction
 from repro.graph.columnar import ColumnarLog
-from repro.graph.snapshot import WindowIndex
 from repro.graph.undirected import UndirectedView, collapse_to_undirected
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "GraphBuilder",
     "Interaction",
     "ColumnarLog",
-    "WindowIndex",
     "UndirectedView",
     "collapse_to_undirected",
 ]

@@ -1,16 +1,17 @@
-"""Incremental construction of the blockchain graph from interactions.
+"""Interactions and the graphs built from them.
 
 An *interaction* is a single caller → callee event: a currency transfer
 from an account, a contract activation, an internal call or an internal
 transfer (paper §II-B).  A transaction produces one or more interactions
 (one per message call in its trace).
 
-The builder consumes a time-ordered stream of interactions and maintains:
-
-* the cumulative :class:`~repro.graph.digraph.WeightedDiGraph` (what the
-  full-graph METIS method partitions);
-* a log of interactions for time-window queries (what R-METIS / TR-METIS
-  partition) via :class:`~repro.graph.snapshot.WindowIndex`.
+:class:`GraphBuilder` holds the one log a generated history keeps: a
+time-ordered :class:`~repro.graph.columnar.ColumnarLog`.  Graphs are
+derived from its rows on demand — :func:`build_graph_columnar` of
+rows ``[lo, hi)`` is the cumulative graph (what the full-graph METIS
+method partitions) over ``[0, hi)`` and a reduced window graph (what
+R-METIS / TR-METIS partition) over a
+:meth:`~repro.graph.columnar.ColumnarLog.window_bounds` range.
 
 Weight conventions (paper §II-B/§II-C):
 
@@ -23,7 +24,7 @@ Weight conventions (paper §II-B/§II-C):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.graph.digraph import VertexKind, WeightedDiGraph
 
@@ -54,89 +55,36 @@ class Interaction:
 
 
 class GraphBuilder:
-    """Builds the cumulative blockchain graph from an interaction stream.
+    """Holds the interaction log of a generated history.
 
-    The builder also retains the raw interaction log (timestamps, edges
-    and tx ids) so callers can cheaply derive *reduced* graphs over time
-    windows, as the R-METIS method requires.  The log is append-only and
-    time-ordered; feeding an out-of-order interaction raises ValueError.
+    :attr:`log` is an append-only, time-ordered
+    :class:`~repro.graph.columnar.ColumnarLog`; feeding an out-of-order
+    interaction raises ValueError.  Read the log's columns, window
+    bounds and length directly, and build graphs of its rows with
+    :func:`build_graph_columnar`.
     """
 
     def __init__(self) -> None:
-        self.graph = WeightedDiGraph()
-        self._log: List[Interaction] = []
-        self._last_ts: float = float("-inf")
+        from repro.graph.columnar import ColumnarLog
 
-    # ------------------------------------------------------------------
+        self.log = ColumnarLog()
 
     def add(self, interaction: Interaction) -> None:
-        """Apply one interaction to the cumulative graph and the log."""
-        if interaction.timestamp < self._last_ts:
-            raise ValueError(
-                f"out-of-order interaction: {interaction.timestamp} < {self._last_ts}"
-            )
-        self._last_ts = interaction.timestamp
-        g = self.graph
-        g.add_vertex(interaction.src, interaction.src_kind, 0, interaction.timestamp)
-        g.add_vertex(interaction.dst, interaction.dst_kind, 0, interaction.timestamp)
-        g.add_vertex_weight(interaction.src, 1)
-        if interaction.dst != interaction.src:
-            g.add_vertex_weight(interaction.dst, 1)
-        g.add_edge(interaction.src, interaction.dst, 1)
-        self._log.append(interaction)
-
-    def add_many(self, interactions: Iterable[Interaction]) -> int:
-        """Apply a stream of interactions; returns how many were added."""
-        n = 0
-        for it in interactions:
-            self.add(it)
-            n += 1
-        return n
-
-    # ------------------------------------------------------------------
+        """Append one interaction to the log."""
+        self.log.append(interaction)
 
     @property
-    def log(self) -> Sequence[Interaction]:
-        """The append-only, time-ordered interaction log."""
-        return self._log
-
-    @property
-    def num_interactions(self) -> int:
-        return len(self._log)
-
-    @property
-    def last_timestamp(self) -> float:
-        """Timestamp of the most recent interaction (-inf if empty)."""
-        return self._last_ts
-
-    def interactions_between(self, start: float, end: float) -> Iterator[Interaction]:
-        """Interactions with start <= timestamp < end (binary-searched)."""
-        lo = _bisect_ts(self._log, start)
-        for i in range(lo, len(self._log)):
-            it = self._log[i]
-            if it.timestamp >= end:
-                break
-            yield it
-
-    def window_graph(self, start: float, end: float) -> WeightedDiGraph:
-        """The *reduced* graph of interactions in [start, end).
-
-        This is what R-METIS partitions: "all accounts, contracts, and
-        their interactions within a fixed window of time".
-        """
-        return build_graph(self.interactions_between(start, end))
-
-    def graph_as_of(self, end: float) -> WeightedDiGraph:
-        """The cumulative graph rebuilt from interactions before ``end``.
-
-        Used by the Fig. 1 analysis to sample graph size over time
-        without mutating the live graph.
-        """
-        return build_graph(self.interactions_between(float("-inf"), end))
+    def graph(self) -> WeightedDiGraph:
+        """The cumulative graph of the whole log, built on each read."""
+        return build_graph_columnar(self.log)
 
 
 def build_graph(interactions: Iterable[Interaction]) -> WeightedDiGraph:
-    """Build a standalone graph from an interaction iterable."""
+    """Build a standalone graph from an interaction iterable.
+
+    The boxed per-row fold: the reference the tests hold
+    :func:`build_graph_columnar` to.
+    """
     g = WeightedDiGraph()
     for it in interactions:  # reprolint: disable=RL010 -- boxed reference path; build_graph_columnar is the batch sibling
         g.add_vertex(it.src, it.src_kind, 0, it.timestamp)
@@ -207,15 +155,3 @@ def group_by_transaction(
     if bucket:
         assert current_id is not None
         yield current_id, bucket
-
-
-def _bisect_ts(log: Sequence[Interaction], ts: float) -> int:
-    """Index of the first interaction with timestamp >= ts."""
-    lo, hi = 0, len(log)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if log[mid].timestamp < ts:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -22,8 +22,10 @@ index in first-appearance order; dense indices are what array-based
 consumers (partitioners, accelerator kernels) want, and
 :meth:`vertex_id` / :meth:`vertex_index` translate both ways.
 
-The log is append-only and must stay time-ordered, mirroring
-:class:`~repro.graph.builder.GraphBuilder`'s contract.
+The log is append-only and must stay time-ordered.  It is the one
+form of the log inside the library: the workload generator appends to
+one (:attr:`GraphBuilder.log <repro.graph.builder.GraphBuilder.log>`),
+the trace loaders return one, and the replay engine streams one.
 
 Two construction paths share the same read surface:
 

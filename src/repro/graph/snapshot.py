@@ -1,18 +1,13 @@
-"""Time-window indexing over the interaction log.
+"""Canonical time units of the experiments.
 
 The experiments sample metrics over *4-hour windows* (paper Fig. 3) and
-repartition over *two-week periods* (METIS / R-METIS).  This module
-provides the window arithmetic and a :class:`WindowIndex` that slices a
-:class:`~repro.graph.builder.GraphBuilder` log into aligned windows.
+repartition over *two-week periods* (METIS / R-METIS).  A window of the
+interaction log is a row range of its
+:class:`~repro.graph.columnar.ColumnarLog`
+(:meth:`~repro.graph.columnar.ColumnarLog.window_bounds`), and the
+graph of a window is :func:`~repro.graph.builder.build_graph_columnar`
+of that range.
 """
-
-from __future__ import annotations
-
-import dataclasses
-from typing import Iterator, List, Sequence, Tuple
-
-from repro.graph.builder import GraphBuilder, Interaction, build_graph
-from repro.graph.digraph import WeightedDiGraph
 
 #: Seconds per canonical units used throughout the experiments.
 HOUR = 3600.0
@@ -23,74 +18,3 @@ WEEK = 7 * DAY
 METRIC_WINDOW = 4 * HOUR
 #: ...and repartitions every two weeks.
 REPARTITION_PERIOD = 2 * WEEK
-
-
-@dataclasses.dataclass(frozen=True)
-class Window:
-    """A half-open time interval [start, end)."""
-
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def midpoint(self) -> float:
-        return (self.start + self.end) / 2.0
-
-    def contains(self, ts: float) -> bool:
-        return self.start <= ts < self.end
-
-
-def iter_windows(start: float, end: float, width: float) -> Iterator[Window]:
-    """Aligned windows of ``width`` seconds covering [start, end).
-
-    The final window is truncated at ``end`` so that coverage is exact.
-    """
-    if width <= 0:
-        raise ValueError(f"window width must be positive, got {width}")
-    t = start
-    while t < end:
-        yield Window(t, min(t + width, end))
-        t += width
-
-
-class WindowIndex:
-    """Slices a builder's interaction log into aligned time windows."""
-
-    def __init__(self, builder: GraphBuilder):
-        self._builder = builder
-
-    @property
-    def span(self) -> Window:
-        """The [first, last+epsilon) interval covered by the log."""
-        log = self._builder.log
-        if not log:
-            return Window(0.0, 0.0)
-        # one second past the end: a naive +epsilon is absorbed by float
-        # rounding at multi-year timestamps, excluding the last record
-        return Window(log[0].timestamp, log[-1].timestamp + 1.0)
-
-    def windows(self, width: float) -> List[Window]:
-        span = self.span
-        return list(iter_windows(span.start, span.end, width))
-
-    def interactions_in(self, window: Window) -> Iterator[Interaction]:
-        return self._builder.interactions_between(window.start, window.end)
-
-    def graph_in(self, window: Window) -> WeightedDiGraph:
-        """The reduced graph of one window (R-METIS input)."""
-        return build_graph(self.interactions_in(window))
-
-    def cumulative_graph_until(self, ts: float) -> WeightedDiGraph:
-        """The full cumulative graph of everything before ``ts``."""
-        return self._builder.graph_as_of(ts)
-
-    def per_window_counts(self, width: float) -> List[Tuple[Window, int]]:
-        """(window, interaction count) pairs — used for activity plots."""
-        out: List[Tuple[Window, int]] = []
-        for w in self.windows(width):
-            out.append((w, sum(1 for _ in self.interactions_in(w))))
-        return out

@@ -18,8 +18,8 @@ in the state the computation left it in.  The arrays of a
 :class:`~repro.metis.graph.CSRGraph` are never mutated after
 construction, which is what makes a stored part valid for the graph's
 lifetime; the memo dies with the graph.  Spectral bisections are not
-memoised: the eigensolver starts from a vector it does not draw from
-``rng``, and whether scipy imports at all can change between calls.
+memoised: whether scipy imports at all can change between calls, and
+with it whether the bisection falls back to greedy growing.
 
 Hits happen when one graph object is bisected twice from one RNG
 state: the replay hands every method of a window the same graph

@@ -136,7 +136,9 @@ def spectral_bisection(graph: CSRGraph, target0: float) -> List[int]:
 
     Raises ``RuntimeError`` if scipy is not importable or the
     eigensolver fails to converge — callers fall back to greedy
-    growing.
+    growing.  The eigensolver starts from a fixed pseudo-random vector
+    of the graph's size (not from the caller's RNG, and not from the
+    vector ARPACK would draw itself), so equal graphs bisect equally.
     """
     n = graph.num_vertices
     if n < 3:
@@ -165,8 +167,10 @@ def spectral_bisection(graph: CSRGraph, target0: float) -> List[int]:
         vals.append(degree[v] + 1e-9)
     laplacian = csr_matrix((vals, (rows, cols)), shape=(n, n))
 
+    start = random.Random(n)
+    v0 = [start.uniform(-1.0, 1.0) for _ in range(n)]
     try:
-        _, vecs = eigsh(laplacian, k=2, which="SM", maxiter=5000, tol=1e-6)
+        _, vecs = eigsh(laplacian, k=2, which="SM", maxiter=5000, tol=1e-6, v0=v0)
     except Exception as exc:  # scipy raises several convergence types
         raise RuntimeError(f"spectral bisection failed: {exc}") from exc
     fiedler = vecs[:, 1]

@@ -43,14 +43,13 @@ def make_ctx(
         now=now,
         k=method.k,
         assignment=assignment,
-        window_interactions=list(interactions),
-        period_interactions=list(interactions),
         last_repartition_ts=last_repartition,
         window_dynamic_edge_cut=window_cut,
         window_dynamic_balance=window_balance,
         rng=method.rng,
         columnar_log=log,
         log_hi=len(log),
+        log_window_start=0,
         log_period_start=0,
         stream=stream,
     )

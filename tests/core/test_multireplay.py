@@ -186,7 +186,7 @@ class TestEngineContract:
             MultiReplayEngine([], [StaticMethod(2)], metric_window=0.0)
 
     def test_methods_see_identical_shared_inputs(self):
-        """Window/period sequences handed to methods match the log order."""
+        """Window/period rows handed to methods match the log order."""
         seen = {}
 
         class Recorder(StaticMethod):
@@ -195,8 +195,9 @@ class TestEngineContract:
                 self.tag = tag
 
             def maybe_repartition(self, ctx):
+                log, hi = ctx.columnar_log, ctx.log_hi
                 seen.setdefault(self.tag, []).append(
-                    (list(ctx.window_interactions), list(ctx.period_interactions))
+                    (log[ctx.log_window_start:hi], log[ctx.log_period_start:hi])
                 )
                 return None
 

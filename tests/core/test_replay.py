@@ -169,7 +169,7 @@ class TestRepartitioning:
                 self.period_sizes = []
 
             def maybe_repartition(self, ctx):
-                self.period_sizes.append(len(ctx.period_interactions))
+                self.period_sizes.append(ctx.log_hi - ctx.log_period_start)
                 return {} if len(self.period_sizes) == 2 else None
 
         method = Recorder(2)
@@ -247,8 +247,9 @@ class TestContext:
         replay_method(log, method, metric_window=10.0)
         ctx = method.ctx_seen
         assert ctx.k == 2
-        assert len(ctx.window_interactions) == 2
-        assert len(ctx.period_interactions) == 2
+        assert ctx.log_hi - ctx.log_window_start == 2
+        assert ctx.log_hi - ctx.log_period_start == 2
+        assert ctx.columnar_log[ctx.log_window_start:ctx.log_hi] == log
         assert ctx.graph.num_vertices == 4
         assert ctx.period_graph.num_vertices == 4
         assert ctx.elapsed_since_repartition > 0

@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generator and its calibration."""
 
+import hashlib
+
 import pytest
 
 from repro.ethereum.history import (
@@ -173,7 +175,7 @@ class TestLargeTierAndStreamingExport:
 
     def test_interaction_sink_sees_the_exact_builder_stream(self):
         """The sink hook must only redirect storage: same interactions,
-        same order, no boxed log left behind."""
+        same order, no log left behind."""
         cfg = WorkloadConfig.tiny(seed=11)
         baseline = WorkloadGenerator(cfg).run()
 
@@ -186,19 +188,50 @@ class TestLargeTierAndStreamingExport:
 
     def test_export_workload_trace_matches_in_memory_write(self, tmp_path):
         from repro.ethereum.export import export_workload_trace
-        from repro.graph.columnar import ColumnarLog
         from repro.graph.io import load_columnar, write_columnar
 
         cfg = WorkloadConfig.tiny(seed=11)
         streamed = tmp_path / "stream.rct"
         result = export_workload_trace(cfg, streamed, version=3,
                                        chunk_rows=64)
-        boxed = tmp_path / "boxed.rct"
-        log = ColumnarLog(WorkloadGenerator(cfg).run().builder.log)
-        write_columnar(log, boxed, version=3)
-        assert streamed.read_bytes() == boxed.read_bytes()
+        in_memory = tmp_path / "in_memory.rct"
+        log = WorkloadGenerator(cfg).run().builder.log
+        write_columnar(log, in_memory, version=3)
+        assert streamed.read_bytes() == in_memory.read_bytes()
         assert result.rows == len(log)
         assert result.vertices == log.num_vertices
         assert result.transactions == 600
         assert result.file_bytes == streamed.stat().st_size
         assert load_columnar(streamed).identical(log)
+
+    def test_generated_log_is_one_columnar_log_with_pinned_export(
+            self, tmp_path, monkeypatch):
+        """Generation keeps one log and builds no dict graph; the log
+        is the ``ColumnarLog`` the trace writers take, and both v3
+        export paths of the tiny seed-42 history write pinned bytes."""
+        from repro.ethereum.export import export_workload_trace
+        from repro.experiments.source import config_for_scale
+        from repro.graph.columnar import ColumnarLog
+        from repro.graph.digraph import WeightedDiGraph
+        from repro.graph.io import write_columnar
+
+        built = []
+        init = WeightedDiGraph.__init__
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(WeightedDiGraph, "__init__", counting_init)
+        cfg = config_for_scale("tiny", 42)
+        log = generate_history(cfg).builder.log
+        assert built == []
+        assert isinstance(log, ColumnarLog)
+
+        # what the benchmark set-up writes, and what `repro-trace export` writes
+        written, exported = tmp_path / "written.rct", tmp_path / "exported.rct"
+        write_columnar(log, written, version=3)
+        export_workload_trace(cfg, exported, version=3)
+        for path in (written, exported):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "e2c94b4b34eae44ae11001189fc5acca16ec1d57ed7db8270ab1bfe63407cf90")

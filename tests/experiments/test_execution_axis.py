@@ -17,7 +17,6 @@ from repro.experiments import (
     ResultStore,
     run_experiment,
 )
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar
 from repro.sharding.throughput import ThroughputReport
 
@@ -197,10 +196,7 @@ class TestExecutionEnabledRuns:
         """A v3 trace export of the same log yields the same reports
         (and the same pre-existing metrics) through the columnar path."""
         trace = tmp_path / "tiny.rct"
-        write_columnar(
-            ColumnarLog.from_interactions(tiny_workload.builder.log),
-            trace, version=3,
-        )
+        write_columnar(tiny_workload.builder.log, trace, version=3)
         tr_spec = ExperimentSpec(
             methods=exec_spec.methods, ks=exec_spec.ks, source=str(trace),
             execution=exec_spec.execution,

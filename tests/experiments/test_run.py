@@ -283,7 +283,7 @@ class TestResume:
 
     @pytest.mark.parametrize("edit", [
         "shard_above_k", "negative_shard", "repeated_vertex",
-        "one_shard_weight", "series_for_other_k",
+        "one_shard_weight", "series_for_other_k", "series_for_other_method",
     ])
     def test_store_declines_cell_inconsistent_with_its_key(
             self, edit, tiny_workload, tmp_path):
@@ -303,6 +303,8 @@ class TestResume:
             data["vertices"][1] = data["vertices"][0]
         elif edit == "one_shard_weight":
             data["shard_weights"] = data["shard_weights"][:1]
+        elif edit == "series_for_other_method":
+            data["series"]["method"] = "metis"
         else:
             data["series"]["k"] = 5
         text = json.dumps(data)
@@ -318,6 +320,51 @@ class TestResume:
         assert outcomes == {key: "computed"}
         assert store.declined == {"corrupt": 1}
         assert store.load(spec, key) is not None  # the file was rewritten
+
+    def test_store_serves_cell_whose_series_names_the_aliased_method(
+            self, tiny_workload, tmp_path):
+        """A ``p-metis`` cell's series carries its factory's name,
+        ``r-metis``: the method check resolves the alias and serves it."""
+        spec = ExperimentSpec(scale="tiny", methods=("p-metis",), ks=(2,))
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        first = run_experiment(spec, workload=tiny_workload, store=store)
+        assert first.cell(key).series.method == "r-metis"
+
+        outcomes = {}
+        rs = run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "loaded"}
+        assert store.declined == {}
+        assert rs == first
+
+    def test_torn_store_write_resumes_cleanly(self, tiny_workload, tmp_path):
+        """A save killed between writing its temporary file and the
+        rename leaves a truncated ``.json.tmp`` and no cell file: the
+        resumed sweep computes the cell, writes its file and leaves no
+        temporary file behind."""
+        spec = ExperimentSpec(scale="tiny", methods=("hash",), ks=(2,))
+        key = spec.cells()[0]
+        store = ResultStore(tmp_path / "results")
+        first = run_experiment(spec, workload=tiny_workload, store=store)
+        path = store.cell_path(spec, key)
+        text = path.read_text(encoding="utf-8")
+        torn = path.with_name(path.name + ".tmp")
+        torn.write_text(text[: len(text) // 2], encoding="utf-8")
+        path.unlink()
+
+        outcomes = {}
+        rs = run_experiment(
+            spec, workload=tiny_workload, store=store,
+            progress=lambda cell, outcome: outcomes.__setitem__(cell, outcome),
+        )
+        assert outcomes == {key: "computed"}
+        assert store.declined == {}
+        assert path.read_text(encoding="utf-8") == text
+        assert list(path.parent.glob("*.tmp")) == []
+        assert rs == first
 
     @pytest.mark.parametrize("edit", ["report_for_other_k", "utilization_for_other_k"])
     def test_store_declines_execution_report_inconsistent_with_its_key(

@@ -18,7 +18,6 @@ from repro.experiments import (
     TraceSource,
     run_experiment,
 )
-from repro.graph.columnar import ColumnarLog
 from repro.graph.io import write_columnar, write_trace
 
 #: includes every method whose code path once depended on the log's
@@ -32,7 +31,7 @@ METHODS = ("hash", "fennel", "kl", "metis", "metis?warm=true",
 def trace_file(tiny_workload, tmp_path_factory):
     """The tiny workload exported as a binary rctrace v2 file."""
     path = tmp_path_factory.mktemp("traces") / "tiny.rct"
-    write_columnar(ColumnarLog(tiny_workload.builder.log), path)
+    write_columnar(tiny_workload.builder.log, path)
     return path
 
 
@@ -278,7 +277,7 @@ class TestV3TraceSource:
     @pytest.fixture(scope="class")
     def v3_trace_file(self, tiny_workload, tmp_path_factory):
         path = tmp_path_factory.mktemp("traces") / "tiny_v3.rct"
-        write_columnar(ColumnarLog(tiny_workload.builder.log), path, version=3)
+        write_columnar(tiny_workload.builder.log, path, version=3)
         return path
 
     def test_v3_loads_identical_to_v2(self, trace_file, v3_trace_file):

@@ -1,4 +1,5 @@
-"""Unit tests for the interaction-stream graph builder."""
+"""Unit tests for the generated history's log holder and the graphs
+built from a log."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.graph.builder import (
     GraphBuilder,
     Interaction,
     build_graph,
+    build_graph_columnar,
     group_by_transaction,
 )
 from repro.graph.digraph import VertexKind
@@ -52,7 +54,7 @@ class TestBuilder:
         b = GraphBuilder()
         b.add(mk(5.0, 1, 2))
         b.add(mk(5.0, 2, 3))
-        assert b.num_interactions == 2
+        assert len(b.log) == 2
 
     def test_kinds_recorded(self):
         b = GraphBuilder()
@@ -68,18 +70,21 @@ class TestBuilder:
 
     def test_add_many_returns_count(self):
         b = GraphBuilder()
-        n = b.add_many(mk(float(i), i, i + 1) for i in range(5))
+        n = b.log.extend(mk(float(i), i, i + 1) for i in range(5))
         assert n == 5
-        assert b.num_interactions == 5
+        assert len(b.log) == 5
+        assert b.graph.num_edges == 5
 
     def test_last_timestamp(self):
         b = GraphBuilder()
-        assert b.last_timestamp == float("-inf")
+        assert b.log.last_timestamp == float("-inf")
         b.add(mk(3.0, 1, 2))
-        assert b.last_timestamp == 3.0
+        assert b.log.last_timestamp == 3.0
 
 
 class TestWindows:
+    """Window queries on the builder's log and graphs of its row ranges."""
+
     @pytest.fixture()
     def builder(self):
         b = GraphBuilder()
@@ -88,25 +93,28 @@ class TestWindows:
         return b
 
     def test_interactions_between_half_open(self, builder):
-        got = list(builder.interactions_between(2.0, 5.0))
+        got = builder.log.window(2.0, 5.0)
         assert [it.timestamp for it in got] == [2.0, 3.0, 4.0]
 
     def test_interactions_between_empty(self, builder):
-        assert list(builder.interactions_between(100.0, 200.0)) == []
+        assert builder.log.window(100.0, 200.0) == []
 
     def test_window_graph_only_window_edges(self, builder):
-        g = builder.window_graph(2.0, 4.0)
+        log = builder.log
+        g = build_graph_columnar(log, *log.window_bounds(2.0, 4.0))
         assert g.num_edges == 2
         assert set(g.vertices()) == {2, 3, 4}
 
     def test_graph_as_of(self, builder):
-        g = builder.graph_as_of(3.0)
+        log = builder.log
+        g = build_graph_columnar(log, 0, log.index_at(3.0))
         assert g.num_edges == 3
 
     def test_window_graph_weights_restart(self, builder):
         # cumulative weight of vertex 5 is 2 (as src and dst); in the
         # window [5, 6) it participates once as src and not as dst
-        g = builder.window_graph(5.0, 6.0)
+        log = builder.log
+        g = build_graph_columnar(log, *log.window_bounds(5.0, 6.0))
         assert g.vertex_weight(5) == 1
 
 

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builder import GraphBuilder, Interaction, build_graph
+from repro.graph.builder import Interaction, build_graph, build_graph_columnar
+from repro.graph.columnar import ColumnarLog
 from repro.graph.digraph import WeightedDiGraph
 from repro.graph.undirected import collapse_to_undirected
 
@@ -79,11 +80,10 @@ def test_predecessors_mirror_successors(stream):
 @given(interaction_streams)
 def test_window_split_partitions_the_log(stream):
     """Window graphs over a partition of time cover the whole stream."""
-    b = GraphBuilder()
-    b.add_many(stream)
+    log = ColumnarLog(stream)
     mid = len(stream) / 2.0
-    first = b.window_graph(float("-inf"), mid)
-    second = b.window_graph(mid, float("inf"))
+    first = build_graph_columnar(log, *log.window_bounds(float("-inf"), mid))
+    second = build_graph_columnar(log, *log.window_bounds(mid, float("inf")))
     assert first.total_edge_weight + second.total_edge_weight == len(stream)
 
 

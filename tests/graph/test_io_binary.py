@@ -99,7 +99,7 @@ class TestRoundTrip:
     def test_workload_round_trip(self, tiny_workload, tmp_path):
         """The full synthetic history survives the binary format
         bit-identically (the acceptance contract of the data layer)."""
-        log = ColumnarLog(tiny_workload.builder.log)
+        log = tiny_workload.builder.log
         path = tmp_path / "full.rct"
         write_columnar(log, path)
         assert load_columnar(path).identical(log)
@@ -323,7 +323,7 @@ class TestV3Format:
     def test_workload_round_trip_and_compression(self, tiny_workload, tmp_path):
         """The full synthetic history survives v3 bit-identically and
         compresses well below its v2 byte size."""
-        log = ColumnarLog(tiny_workload.builder.log)
+        log = tiny_workload.builder.log
         v2, v3 = tmp_path / "t2.rct", tmp_path / "t3.rct"
         write_columnar(log, v2, version=2)
         write_columnar(log, v3, version=3)

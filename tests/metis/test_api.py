@@ -60,6 +60,23 @@ class TestQuality:
         res = part_graph(g, 2, seed=1, initial="spectral")
         assert res.edge_cut <= 2 * 10
 
+    def test_spectral_is_reproducible(self):
+        """Equal inputs give equal outputs: the eigensolver's start
+        vector is fixed, not drawn by ARPACK on each call."""
+        pytest.importorskip("scipy", exc_type=ImportError)
+        from repro.metis.initial import spectral_bisection
+
+        g = gen.powerlaw_graph(300, 2, random.Random(3))
+        csr = CSRGraph.from_undirected(collapse_to_undirected(g))
+        target = csr.total_vertex_weight / 2
+        parts = {tuple(spectral_bisection(csr, target)) for _ in range(6)}
+        assert len(parts) == 1
+        assignments = {
+            tuple(sorted(part_graph(g, 4, seed=1, initial="spectral").assignment.items()))
+            for _ in range(6)
+        }
+        assert len(assignments) == 1
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_spectral_without_scipy_is_greedy(self, monkeypatch, k):
         # spectral bisection fails before it touches the RNG, so the
